@@ -1,8 +1,7 @@
 //! Hot-path throughput benchmark (`repro --experiment bench`).
 //!
 //! Measures simulator throughput — lane instructions per wall-clock
-//! second — for every kernel workload in both its closure form and its
-//! compiled-IR form (`{kernel}-ir`), per execution backend. The `repro`
+//! second — for every kernel workload, per execution backend. The `repro`
 //! binary serializes the rows to `BENCH_hotpath.json`, preserving the
 //! first-ever run as a frozen baseline so the perf trajectory is tracked
 //! across PRs (and gated by `--gate`; see [`crate::bench_gate`]).
@@ -15,8 +14,7 @@ use tm_sim::prelude::*;
 /// One (case, backend) throughput measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
-    /// Workload name: the kernel id, or `{kernel}-ir` for its
-    /// compiled-IR twin.
+    /// Workload name: the kernel id.
     pub case: String,
     /// Execution backend the device ran on.
     pub backend: ExecBackend,
@@ -62,13 +60,10 @@ fn row(case: &str, backend: ExecBackend, (instructions, wall_ms): (u64, f64)) ->
     }
 }
 
-/// Sweeps every kernel workload — closure form and compiled-IR twin —
-/// on a **single-CU** device (the configuration where hot-path cost is
-/// undiluted by CU-level parallelism) across all backends.
-///
-/// Both forms run the same scale, seed and Table-1 matching policy, so
-/// each `{kernel}-ir` row is directly comparable against its closure
-/// twin: identical instruction stream, different execution machinery.
+/// Sweeps every kernel workload on a **single-CU** device (the
+/// configuration where hot-path cost is undiluted by CU-level
+/// parallelism) across all backends, at the workload's Table-1 matching
+/// policy.
 #[must_use]
 pub fn hotpath_bench(cfg: &ExperimentConfig, repeats: usize) -> Vec<BenchRow> {
     let mut rows = Vec::new();
@@ -79,24 +74,13 @@ pub fn hotpath_bench(cfg: &ExperimentConfig, repeats: usize) -> Vec<BenchRow> {
                 .with_policy(kernel_policy(id))
                 .with_seed(cfg.seed)
                 .with_backend(backend).build().unwrap();
-            for ir in [false, true] {
-                let timing = time_best_of(repeats, || {
-                    let mut wl = if ir {
-                        workload::build_ir(id, cfg.scale, cfg.seed)
-                    } else {
-                        workload::build(id, cfg.scale, cfg.seed)
-                    };
-                    let mut device = Device::new(device_config.clone());
-                    let _ = wl.run(&mut device);
-                    device.report().total_instructions()
-                });
-                let case = if ir {
-                    format!("{}-ir", id.name())
-                } else {
-                    id.name().to_owned()
-                };
-                rows.push(row(&case, backend, timing));
-            }
+            let timing = time_best_of(repeats, || {
+                let mut wl = workload::build(id, cfg.scale, cfg.seed);
+                let mut device = Device::new(device_config.clone());
+                let _ = wl.run(&mut device);
+                device.report().total_instructions()
+            });
+            rows.push(row(id.name(), backend, timing));
         }
     }
     rows
@@ -166,26 +150,21 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let rows = hotpath_bench(&cfg, 1);
-        assert_eq!(rows.len(), ALL_KERNELS.len() * 2 * BENCH_BACKENDS.len());
+        assert_eq!(rows.len(), ALL_KERNELS.len() * BENCH_BACKENDS.len());
         for r in &rows {
             assert!(r.instructions > 0, "{}: no instructions", r.case);
             assert!(r.instr_per_sec > 0.0, "{}: no throughput", r.case);
         }
-        // The IR twin replays the closure kernel's exact issue stream, so
-        // the measured instruction counts must match pairwise.
+        // Reports are backend-invariant, so every backend retires the
+        // same instruction count per kernel.
         for id in ALL_KERNELS {
-            for &backend in &BENCH_BACKENDS {
-                let find = |case: &str| {
-                    rows.iter()
-                        .find(|r| r.case == case && r.backend == backend)
-                        .unwrap_or_else(|| panic!("missing row {case}"))
-                };
-                assert_eq!(
-                    find(id.name()).instructions,
-                    find(&format!("{}-ir", id.name())).instructions,
-                    "{id} on {backend:?}: IR twin retired a different instruction count"
-                );
-            }
+            let counts: Vec<u64> = rows
+                .iter()
+                .filter(|r| r.case == id.name())
+                .map(|r| r.instructions)
+                .collect();
+            assert_eq!(counts.len(), BENCH_BACKENDS.len(), "{id}");
+            assert!(counts.windows(2).all(|w| w[0] == w[1]), "{id}: {counts:?}");
         }
     }
 

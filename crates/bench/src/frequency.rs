@@ -12,7 +12,7 @@
 
 use crate::runner::{kernel_policy, ExperimentConfig};
 use tm_image::{psnr, sobel_reference, synth, GrayImage};
-use tm_kernels::sobel::SobelKernel;
+use tm_kernels::ir::sobel_program;
 use tm_kernels::KernelId;
 use tm_sim::prelude::*;
 
@@ -41,7 +41,9 @@ fn measure(image: &GrayImage, cfg_seed: u64) -> (f64, f64) {
         .with_policy(kernel_policy(KernelId::Sobel))
         .with_seed(cfg_seed).build().unwrap();
     let mut device = Device::new(config);
-    let out = SobelKernel::new(image).run(&mut device);
+    let mut ip = sobel_program(image);
+    device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+    let out = GrayImage::from_vec(image.width(), image.height(), ip.take_output());
     (device.report().weighted_hit_rate(), psnr(&golden, &out))
 }
 

@@ -22,7 +22,7 @@ pub const GATE_FLOOR: f64 = 0.8;
 /// One gated (case, backend) comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateEntry {
-    /// Workload case name (`sobel`, `sobel-ir`, ...).
+    /// Workload case name (`Sobel`, `Haar`, ...).
     pub case: String,
     /// Backend label (`sequential`, `parallel`, `intra-cu`).
     pub backend: String,

@@ -7,11 +7,11 @@
 //! the backward induction runs `steps` masked iterations with each lane
 //! combining its own node with its neighbour's. The wavefront-uniform
 //! parameter computation and the large all-zero out-of-the-money regions
-//! of the lattice are where this kernel's value locality comes from.
+//! of the lattice are where this kernel's value locality comes from. The
+//! device form is [`crate::ir::binomial_program`].
 
 use tm_rng::Pcg32;
 use tm_fpu::{compute, FpOp, Operands};
-use tm_sim::{Device, Kernel, ShardKernel, VReg, WaveCtx};
 
 const LOG2_E: f32 = std::f32::consts::LOG2_E;
 
@@ -50,139 +50,6 @@ impl OptionSpec {
                 }
             })
             .collect()
-    }
-}
-
-/// The binomial-lattice device kernel.
-#[derive(Debug)]
-pub struct BinomialKernel<'a> {
-    options: &'a [OptionSpec],
-    steps: usize,
-    wavefront_size: usize,
-    prices: Vec<f32>,
-}
-
-impl<'a> BinomialKernel<'a> {
-    /// Creates the kernel for a batch of options and a lattice depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero or does not fit a wavefront
-    /// (`steps + 1` lattice nodes must be ≤ 64).
-    #[must_use]
-    pub fn new(options: &'a [OptionSpec], steps: usize) -> Self {
-        assert!(steps > 0, "need at least one lattice step");
-        assert!(steps < 64, "steps + 1 lattice nodes must fit one wavefront");
-        Self {
-            options,
-            steps,
-            wavefront_size: 64,
-            prices: vec![0.0; options.len()],
-        }
-    }
-
-    /// Prices the batch; one wavefront per option. Honours the device's
-    /// configured [`tm_sim::ExecBackend`].
-    pub fn run(mut self, device: &mut Device) -> Vec<f32> {
-        self.wavefront_size = device.config().wavefront_size;
-        assert!(
-            self.steps < self.wavefront_size,
-            "lattice must fit one wavefront"
-        );
-        let n = self.options.len() * self.wavefront_size;
-        device.dispatch(&mut self, n);
-        self.prices
-    }
-}
-
-impl Kernel for BinomialKernel<'_> {
-    fn name(&self) -> &'static str {
-        "binomial_option"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let option_idx = ctx.lane_ids()[0] / self.wavefront_size;
-        let opt = self.options[option_idx];
-        let steps = self.steps;
-        let lanes = ctx.lanes();
-
-        // Lattice nodes are lanes 0..=steps.
-        let node_mask: Vec<bool> = (0..lanes).map(|j| j <= steps).collect();
-        ctx.push_mask(&node_mask);
-
-        // Wavefront-uniform CRR parameters (splat operands — these
-        // instructions are identical across lanes and hit heavily).
-        let t = ctx.splat(opt.maturity);
-        let inv_steps = ctx.splat(1.0 / steps as f32);
-        let dt = ctx.mul(&t, &inv_steps);
-        let sigma = ctx.splat(opt.volatility);
-        let sq_dt = ctx.sqrt(&dt);
-        let sig_sq_dt = ctx.mul(&sigma, &sq_dt);
-        let log2e = ctx.splat(LOG2_E);
-        let u_arg = ctx.mul(&sig_sq_dt, &log2e);
-        let u = ctx.exp2(&u_arg);
-        let d = ctx.recip(&u);
-        let r = ctx.splat(opt.rate);
-        let r_dt = ctx.mul(&r, &dt);
-        let a_arg = ctx.mul(&r_dt, &log2e);
-        let a = ctx.exp2(&a_arg);
-        let u_minus_d = ctx.sub(&u, &d);
-        let inv_umd = ctx.recip(&u_minus_d);
-        let a_minus_d = ctx.sub(&a, &d);
-        let pu = ctx.mul(&a_minus_d, &inv_umd);
-        let one = ctx.splat(1.0);
-        let pd = ctx.sub(&one, &pu);
-        let disc = ctx.recip(&a);
-
-        // Leaf payoffs: price_j = S·u^(2j − steps); payoff = max(price − K, 0).
-        let log2u = ctx.log2(&u);
-        let expo = VReg::from_fn(lanes, |j| (2.0 * j as f32) - steps as f32);
-        let pow_arg = ctx.mul(&expo, &log2u);
-        let upow = ctx.exp2(&pow_arg);
-        let s = ctx.splat(opt.spot);
-        let price = ctx.mul(&s, &upow);
-        let k = ctx.splat(opt.strike);
-        let intrinsic = ctx.sub(&price, &k);
-        let zero = ctx.splat(0.0);
-        let mut v = ctx.max(&intrinsic, &zero);
-
-        // Backward induction: v_j ← disc·(pu·v_{j+1} + pd·v_j).
-        for step in (0..steps).rev() {
-            let live: Vec<bool> = (0..lanes).map(|j| j <= step).collect();
-            ctx.push_mask(&live);
-            let v_up = VReg::from_fn(lanes, |j| if j + 1 < lanes { v[j + 1] } else { 0.0 });
-            let up_term = ctx.mul(&pu, &v_up);
-            let both = ctx.muladd(&pd, &v, &up_term);
-            let v_new = ctx.mul(&disc, &both);
-            // Inactive lanes keep their (dead) old values.
-            v = VReg::from_fn(lanes, |j| if j <= step { v_new[j] } else { v[j] });
-            ctx.pop_mask();
-        }
-        ctx.pop_mask();
-
-        self.prices[option_idx] = v[0];
-    }
-}
-
-impl ShardKernel for BinomialKernel<'_> {
-    fn fork(&self) -> Self {
-        Self {
-            options: self.options,
-            steps: self.steps,
-            wavefront_size: self.wavefront_size,
-            prices: vec![0.0; self.prices.len()],
-        }
-    }
-
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        // One option per wavefront: the shard that ran lane 0 of option
-        // `gid / wavefront_size` owns that option's price.
-        for &gid in gids {
-            if gid % self.wavefront_size == 0 {
-                let option = gid / self.wavefront_size;
-                self.prices[option] = shard.prices[option];
-            }
-        }
     }
 }
 
@@ -255,18 +122,6 @@ pub fn binomial_f64(spot: f64, strike: f64, t: f64, r: f64, sigma: f64, steps: u
 mod tests {
     use super::*;
     use crate::black_scholes::black_scholes_f64;
-    use tm_sim::DeviceConfig;
-
-    #[test]
-    fn device_matches_scalar_golden_bit_for_bit() {
-        let options = OptionSpec::generate(16, 11);
-        let mut device = Device::new(DeviceConfig::default());
-        let prices = BinomialKernel::new(&options, 20).run(&mut device);
-        for (i, &opt) in options.iter().enumerate() {
-            let golden = binomial_reference(opt, 20);
-            assert_eq!(prices[i].to_bits(), golden.to_bits(), "option {i}");
-        }
-    }
 
     #[test]
     fn golden_agrees_with_independent_f64() {
@@ -315,6 +170,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "fit one wavefront")]
     fn rejects_oversized_lattice() {
-        let _ = BinomialKernel::new(&[], 64);
+        let _ = crate::ir::binomial_program(&[], 64, 64);
     }
 }

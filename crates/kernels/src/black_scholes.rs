@@ -7,14 +7,14 @@
 //! quantized random draw** (C `rand()` has 32768 levels), which is where
 //! what value locality this kernel has comes from.
 //!
-//! The scalar golden ([`black_scholes_reference`]) replays the identical
-//! instruction sequence through [`tm_fpu::compute`], so an exact-matching
-//! device run reproduces it bit for bit; an independent `f64`
-//! implementation ([`black_scholes_f64`]) validates both to ~1e-4.
+//! The device form is [`crate::ir::black_scholes_program`]. The scalar
+//! golden ([`black_scholes_reference`]) replays its instruction sequence
+//! through [`tm_fpu::compute`], so an exact-matching device run
+//! reproduces it bit for bit; an independent `f64` implementation
+//! ([`black_scholes_f64`]) validates both to ~1e-4.
 
 use tm_rng::Pcg32;
 use tm_fpu::{compute, FpOp, Operands};
-use tm_sim::{Device, Kernel, ShardKernel, VReg, WaveCtx};
 
 pub(crate) const A1: f32 = 0.319_381_53;
 pub(crate) const A2: f32 = -0.356_563_78;
@@ -77,135 +77,6 @@ impl OptionBatch {
             batch.volatility.push(blend(0.1, 0.5));
         }
         batch
-    }
-}
-
-/// The Black–Scholes device kernel.
-#[derive(Debug)]
-pub struct BlackScholesKernel<'a> {
-    batch: &'a OptionBatch,
-    call: Vec<f32>,
-    put: Vec<f32>,
-}
-
-impl<'a> BlackScholesKernel<'a> {
-    /// Creates the kernel over an option batch.
-    #[must_use]
-    pub fn new(batch: &'a OptionBatch) -> Self {
-        Self {
-            batch,
-            call: vec![0.0; batch.len()],
-            put: vec![0.0; batch.len()],
-        }
-    }
-
-    /// Prices the batch; returns `(call, put)` price vectors. Honours the
-    /// device's configured [`tm_sim::ExecBackend`].
-    pub fn run(mut self, device: &mut Device) -> (Vec<f32>, Vec<f32>) {
-        let n = self.batch.len();
-        device.dispatch(&mut self, n);
-        (self.call, self.put)
-    }
-
-    /// Cumulative normal distribution over a register, via the A&S
-    /// polynomial (the SDK's `phi`).
-    fn cnd(ctx: &mut WaveCtx<'_>, x: &VReg) -> VReg {
-        let one = ctx.splat(1.0);
-        let ax = ctx.abs(x);
-        let gamma = ctx.splat(GAMMA);
-        let denom = ctx.muladd(&gamma, &ax, &one);
-        let t = ctx.recip(&denom);
-        let mut poly = ctx.splat(A5);
-        for a in [A4, A3, A2, A1] {
-            let c = ctx.splat(a);
-            poly = ctx.muladd(&poly, &t, &c);
-        }
-        poly = ctx.mul(&poly, &t);
-        let x2 = ctx.mul(x, x);
-        let e_scale = ctx.splat(-0.5 * LOG2_E);
-        let e_arg = ctx.mul(&x2, &e_scale);
-        let e = ctx.exp2(&e_arg);
-        let inv = ctx.splat(INV_SQRT_2PI);
-        let pdf = ctx.mul(&e, &inv);
-        let tail = ctx.mul(&pdf, &poly);
-        let nd = ctx.sub(&one, &tail);
-        // For x < 0, N(x) = 1 − N(|x|) = the tail itself.
-        let zero = ctx.splat(0.0);
-        let neg = ctx.set_ge(x, &zero);
-        ctx.select(&neg, &nd, &tail)
-    }
-}
-
-impl Kernel for BlackScholesKernel<'_> {
-    fn name(&self) -> &'static str {
-        "black_scholes"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let gather = |v: &[f32]| VReg::from_fn(ctx.lanes(), |l| v[ctx.lane_ids()[l]]);
-        let s = gather(&self.batch.spot);
-        let k = gather(&self.batch.strike);
-        let t = gather(&self.batch.maturity);
-        let r = gather(&self.batch.rate);
-        let sigma = gather(&self.batch.volatility);
-
-        let one = ctx.splat(1.0);
-        let half = ctx.splat(0.5);
-        let ln2 = ctx.splat(LN_2);
-        let log2e = ctx.splat(LOG2_E);
-
-        // d1 = (ln(S/K) + (r + σ²/2)·T) / (σ·√T);  d2 = d1 − σ·√T.
-        let inv_k = ctx.recip(&k);
-        let s_over_k = ctx.mul(&s, &inv_k);
-        let l2 = ctx.log2(&s_over_k);
-        let ln_sk = ctx.mul(&l2, &ln2);
-        let sig2 = ctx.mul(&sigma, &sigma);
-        let half_sig2 = ctx.mul(&sig2, &half);
-        let drift = ctx.add(&r, &half_sig2);
-        let num = ctx.muladd(&drift, &t, &ln_sk);
-        let sq_t = ctx.sqrt(&t);
-        let den = ctx.mul(&sigma, &sq_t);
-        let inv_den = ctx.recip(&den);
-        let d1 = ctx.mul(&num, &inv_den);
-        let d2 = ctx.sub(&d1, &den);
-
-        let nd1 = Self::cnd(ctx, &d1);
-        let nd2 = Self::cnd(ctx, &d2);
-        // N(−x) = 1 − N(x) exactly in this approximation.
-        let nd1m = ctx.sub(&one, &nd1);
-        let nd2m = ctx.sub(&one, &nd2);
-
-        // Discount factor e^{−rT}.
-        let rt = ctx.mul(&r, &t);
-        let nrt = ctx.neg(&rt);
-        let e_arg = ctx.mul(&nrt, &log2e);
-        let disc = ctx.exp2(&e_arg);
-
-        let k_disc = ctx.mul(&k, &disc);
-        let s_nd1 = ctx.mul(&s, &nd1);
-        let k_nd2 = ctx.mul(&k_disc, &nd2);
-        let call = ctx.sub(&s_nd1, &k_nd2);
-        let k_nd2m = ctx.mul(&k_disc, &nd2m);
-        let s_nd1m = ctx.mul(&s, &nd1m);
-        let put = ctx.sub(&k_nd2m, &s_nd1m);
-
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.call[gid] = call[l];
-            self.put[gid] = put[l];
-        }
-    }
-}
-
-impl ShardKernel for BlackScholesKernel<'_> {
-    fn fork(&self) -> Self {
-        Self::new(self.batch)
-    }
-
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        for &gid in gids {
-            self.call[gid] = shard.call[gid];
-            self.put[gid] = shard.put[gid];
-        }
     }
 }
 
@@ -299,13 +170,21 @@ pub fn black_scholes_f64(s: f64, k: f64, t: f64, r: f64, sigma: f64) -> (f64, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_sim::DeviceConfig;
+    use tm_sim::{Device, DeviceConfig};
+
+    /// Prices `batch` on a default device, returning `(call, put)`.
+    fn run(batch: &OptionBatch) -> (Vec<f32>, Vec<f32>) {
+        let mut ip = crate::ir::black_scholes_program(batch);
+        let mut device = Device::new(DeviceConfig::default());
+        device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+        let put = std::mem::take(ip.bindings.buffer_mut(ip.signature.outputs[1]));
+        (ip.take_output(), put)
+    }
 
     #[test]
     fn device_matches_scalar_golden_bit_for_bit() {
         let batch = OptionBatch::generate(256, 42);
-        let mut device = Device::new(DeviceConfig::default());
-        let (call, put) = BlackScholesKernel::new(&batch).run(&mut device);
+        let (call, put) = run(&batch);
         for i in 0..batch.len() {
             let (rc, rp) = black_scholes_reference(
                 batch.spot[i],
@@ -332,8 +211,7 @@ mod tests {
     #[test]
     fn put_call_parity_holds() {
         let batch = OptionBatch::generate(128, 7);
-        let mut device = Device::new(DeviceConfig::default());
-        let (call, put) = BlackScholesKernel::new(&batch).run(&mut device);
+        let (call, put) = run(&batch);
         for i in 0..batch.len() {
             let (s, k, t, r) = (
                 f64::from(batch.spot[i]),
@@ -350,8 +228,7 @@ mod tests {
     #[test]
     fn prices_are_nonnegative() {
         let batch = OptionBatch::generate(512, 9);
-        let mut device = Device::new(DeviceConfig::default());
-        let (call, put) = BlackScholesKernel::new(&batch).run(&mut device);
+        let (call, put) = run(&batch);
         assert!(call.iter().all(|&c| c >= -1e-3));
         assert!(put.iter().all(|&p| p >= -1e-3));
     }

@@ -6,11 +6,11 @@
 //! eigenvalues lie below a pivot, and each work-item narrows the interval
 //! of its own eigenvalue index. The paper pins this kernel to exact
 //! matching (`threshold = 0.0`) and reports it activating the most FPU
-//! types of all the error-intolerant kernels.
+//! types of all the error-intolerant kernels. The device form is
+//! [`crate::ir::eigenvalue_program`].
 
 use tm_rng::Pcg32;
 use tm_fpu::{compute, FpOp, Operands};
-use tm_sim::{Device, Kernel, ShardKernel, VReg, WaveCtx};
 
 /// Guard floor for the Sturm recurrence denominator.
 pub(crate) const STURM_EPS: f32 = 1e-20;
@@ -64,110 +64,6 @@ impl Tridiagonal {
             hi = hi.max(self.diag[i] + r);
         }
         (lo, hi)
-    }
-}
-
-/// The eigenvalue-bisection device kernel (work-item *k* ⇒ *k*-th smallest
-/// eigenvalue).
-#[derive(Debug)]
-pub struct EigenValueKernel<'a> {
-    matrix: &'a Tridiagonal,
-    iterations: usize,
-    eigenvalues: Vec<f32>,
-}
-
-impl<'a> EigenValueKernel<'a> {
-    /// Creates the kernel; `iterations` bisection steps shrink the
-    /// Gershgorin interval by `2^iterations`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations` is zero.
-    #[must_use]
-    pub fn new(matrix: &'a Tridiagonal, iterations: usize) -> Self {
-        assert!(iterations > 0, "need at least one bisection iteration");
-        Self {
-            matrix,
-            iterations,
-            eigenvalues: vec![0.0; matrix.n()],
-        }
-    }
-
-    /// Runs the bisection and returns the sorted eigenvalues. Honours the
-    /// device's configured [`tm_sim::ExecBackend`].
-    pub fn run(mut self, device: &mut Device) -> Vec<f32> {
-        let n = self.matrix.n();
-        device.dispatch(&mut self, n);
-        self.eigenvalues
-    }
-
-    /// Sturm sign count at the per-lane pivots `x`: how many eigenvalues
-    /// lie strictly below each lane's pivot.
-    fn sturm_count(ctx: &mut WaveCtx<'_>, matrix: &Tridiagonal, x: &VReg) -> VReg {
-        let zero = ctx.splat(0.0);
-        let eps = ctx.splat(STURM_EPS);
-        let neg_eps = ctx.splat(-STURM_EPS);
-        let mut count = ctx.splat(0.0);
-        let mut d = ctx.splat(1.0);
-        for i in 0..matrix.n() {
-            let diag_i = ctx.splat(matrix.diag[i]);
-            let mut t = ctx.sub(&diag_i, x);
-            if i > 0 {
-                let off2 = matrix.off[i - 1] * matrix.off[i - 1];
-                let neg_off2 = ctx.splat(-off2);
-                let inv_d = ctx.recip(&d);
-                t = ctx.muladd(&neg_off2, &inv_d, &t);
-            }
-            // Keep the recurrence away from zero denominators.
-            let at = ctx.abs(&t);
-            let too_small = ctx.set_gt(&eps, &at);
-            d = ctx.select(&too_small, &neg_eps, &t);
-            let negative = ctx.set_gt(&zero, &d);
-            count = ctx.add(&count, &negative);
-        }
-        count
-    }
-}
-
-impl Kernel for EigenValueKernel<'_> {
-    fn name(&self) -> &'static str {
-        "eigenvalue"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let (glo, ghi) = self.matrix.gershgorin_bounds();
-        let mut lo = ctx.splat(glo);
-        let mut hi = ctx.splat(ghi);
-        let half = ctx.splat(0.5);
-        // Lane k targets eigenvalue index k (global id).
-        let k = ctx.iota();
-
-        for _ in 0..self.iterations {
-            let sum = ctx.add(&lo, &hi);
-            let mid = ctx.mul(&sum, &half);
-            let count = Self::sturm_count(ctx, self.matrix, &mid);
-            // count > k  ⇒  λ_k < mid  ⇒  shrink from above.
-            let above = ctx.set_gt(&count, &k);
-            hi = ctx.select(&above, &mid, &hi);
-            lo = ctx.select(&above, &lo, &mid);
-        }
-        let sum = ctx.add(&lo, &hi);
-        let eig = ctx.mul(&sum, &half);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.eigenvalues[gid] = eig[l];
-        }
-    }
-}
-
-impl ShardKernel for EigenValueKernel<'_> {
-    fn fork(&self) -> Self {
-        Self::new(self.matrix, self.iterations)
-    }
-
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        for &gid in gids {
-            self.eigenvalues[gid] = shard.eigenvalues[gid];
-        }
     }
 }
 
@@ -255,24 +151,15 @@ pub fn eigenvalues_f64(matrix: &Tridiagonal) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_sim::DeviceConfig;
-
-    #[test]
-    fn device_matches_scalar_golden_bit_for_bit() {
-        let m = Tridiagonal::generate(32, 5);
-        let mut device = Device::new(DeviceConfig::default());
-        let eigs = EigenValueKernel::new(&m, 25).run(&mut device);
-        for (k, &e) in eigs.iter().enumerate() {
-            let golden = eigenvalue_reference(&m, k, 25);
-            assert_eq!(e.to_bits(), golden.to_bits(), "eigenvalue {k}");
-        }
-    }
+    use tm_sim::{Device, DeviceConfig};
 
     #[test]
     fn device_agrees_with_independent_f64() {
         let m = Tridiagonal::generate(48, 9);
+        let mut ip = crate::ir::eigenvalue_program(&m, 40);
         let mut device = Device::new(DeviceConfig::default());
-        let eigs = EigenValueKernel::new(&m, 40).run(&mut device);
+        device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+        let eigs = ip.take_output();
         let truth = eigenvalues_f64(&m);
         for (k, (&e, &t)) in eigs.iter().zip(truth.iter()).enumerate() {
             assert!((f64::from(e) - t).abs() < 1e-2, "λ_{k}: {e} vs {t}");
@@ -316,17 +203,5 @@ mod tests {
         for e in eigenvalues_f64(&m) {
             assert!(e >= f64::from(lo) - 1e-9 && e <= f64::from(hi) + 1e-9);
         }
-    }
-
-    #[test]
-    fn activates_a_wide_fpu_mix() {
-        let m = Tridiagonal::generate(16, 1);
-        let mut device = Device::new(DeviceConfig::default());
-        let _ = EigenValueKernel::new(&m, 10).run(&mut device);
-        let n_ops = device.report().per_op.len();
-        assert!(
-            n_ops >= 7,
-            "EigenValue should activate at least 7 FPU types, got {n_ops}"
-        );
     }
 }

@@ -3,99 +3,9 @@
 //! In-place Walsh–Hadamard butterflies: for each stage with span `h`, the
 //! pair `(x[i], x[i+h])` becomes `(x[i] + x[i+h], x[i] − x[i+h])`. One
 //! work-item per butterfly pair per stage; the paper pins this kernel to
-//! exact matching (`threshold = 0.0`, Table 1).
-
-use tm_sim::{Device, Kernel, ShardKernel, VReg, WaveCtx};
-
-/// One butterfly stage as a device kernel.
-#[derive(Debug)]
-struct FwtStage {
-    data: Vec<f32>,
-    span: usize,
-}
-
-impl FwtStage {
-    /// Index of the first element of lane `gid`'s butterfly pair.
-    fn pair_index(&self, gid: usize) -> usize {
-        let block = gid / self.span;
-        let offset = gid % self.span;
-        block * 2 * self.span + offset
-    }
-}
-
-impl Kernel for FwtStage {
-    fn name(&self) -> &'static str {
-        "fwt_stage"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let lo = VReg::from_fn(ctx.lanes(), |l| self.data[self.pair_index(ctx.lane_ids()[l])]);
-        let hi = VReg::from_fn(ctx.lanes(), |l| {
-            self.data[self.pair_index(ctx.lane_ids()[l]) + self.span]
-        });
-        let sum = ctx.add(&lo, &hi);
-        let diff = ctx.sub(&lo, &hi);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            let i = self.pair_index(gid);
-            self.data[i] = sum[l];
-            self.data[i + self.span] = diff[l];
-        }
-    }
-}
-
-impl ShardKernel for FwtStage {
-    fn fork(&self) -> Self {
-        Self {
-            data: self.data.clone(),
-            span: self.span,
-        }
-    }
-
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        // Work-item `gid` owns the disjoint butterfly pair
-        // (pair_index(gid), pair_index(gid) + span).
-        for &gid in gids {
-            let i = self.pair_index(gid);
-            self.data[i] = shard.data[i];
-            self.data[i + self.span] = shard.data[i + self.span];
-        }
-    }
-}
-
-/// Runs the full fast Walsh transform of `signal` on `device`.
-///
-/// # Panics
-///
-/// Panics unless the signal length is a power of two of at least 2.
-///
-/// # Examples
-///
-/// ```
-/// use tm_kernels::fwt::{fwt_reference, run_fwt};
-/// use tm_sim::{Device, DeviceConfig};
-///
-/// let signal = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-/// let mut device = Device::new(DeviceConfig::default());
-/// let out = run_fwt(&mut device, &signal);
-/// assert_eq!(out, fwt_reference(&signal));
-/// ```
-#[must_use]
-pub fn run_fwt(device: &mut Device, signal: &[f32]) -> Vec<f32> {
-    let n = signal.len();
-    assert!(
-        n >= 2 && n.is_power_of_two(),
-        "signal length {n} must be a power of two >= 2"
-    );
-    let mut data = signal.to_vec();
-    let mut span = 1usize;
-    while span < n {
-        let mut stage = FwtStage { data, span };
-        device.dispatch(&mut stage, n / 2);
-        data = stage.data;
-        span *= 2;
-    }
-    data
-}
+//! exact matching (`threshold = 0.0`, Table 1). The device form is
+//! [`crate::ir::fwt_stage_program`], one launch per stage
+//! ([`crate::ir::fwt_on_device`]); this module holds the host golden.
 
 /// Host golden Walsh–Hadamard transform (same butterfly order, scalar).
 ///
@@ -128,19 +38,6 @@ pub fn fwt_reference(signal: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_fpu::FpOp;
-    use tm_sim::DeviceConfig;
-
-    #[test]
-    fn device_matches_reference_bit_for_bit() {
-        let signal: Vec<f32> = (0..512).map(|i| ((i * 7) % 23) as f32 - 11.0).collect();
-        let mut device = Device::new(DeviceConfig::default());
-        let out = run_fwt(&mut device, &signal);
-        let golden = fwt_reference(&signal);
-        for (a, b) in out.iter().zip(golden.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn impulse_transforms_to_all_ones() {
@@ -165,14 +62,5 @@ mod tests {
         let ein: f64 = signal.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
         let eout: f64 = out.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
         assert!((eout / ein - 32.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn activates_only_add_and_sub() {
-        let mut device = Device::new(DeviceConfig::default());
-        let signal: Vec<f32> = (0..256).map(|i| i as f32).collect();
-        let _ = run_fwt(&mut device, &signal);
-        let ops: Vec<FpOp> = device.report().per_op.iter().map(|r| r.op).collect();
-        assert_eq!(ops, vec![FpOp::Add, FpOp::Sub]);
     }
 }

@@ -3,98 +3,12 @@
 //! A full multi-level forward decomposition: at each level, work-item *i*
 //! produces the approximation `(s[2i] + s[2i+1])·(1/√2)` and the detail
 //! `(s[2i] − s[2i+1])·(1/√2)`. The output array is the standard layout
-//! `[approx | detail_level_k | … | detail_level_1]`.
-
-use tm_sim::{Device, Kernel, ShardKernel, VReg, WaveCtx};
+//! `[approx | detail_level_k | … | detail_level_1]`. The device form is
+//! [`crate::ir::haar_level_program`], one launch per level
+//! ([`crate::ir::haar_on_device`]); this module holds the host goldens.
 
 /// `1/√2` in single precision — the analysis filter coefficient.
 pub const INV_SQRT2: f32 = std::f32::consts::FRAC_1_SQRT_2;
-
-/// One decomposition level as a device kernel (work-item per output pair).
-#[derive(Debug)]
-struct HaarLevel {
-    input: Vec<f32>,
-    approx: Vec<f32>,
-    detail: Vec<f32>,
-}
-
-impl Kernel for HaarLevel {
-    fn name(&self) -> &'static str {
-        "haar_level"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let even = VReg::from_fn(ctx.lanes(), |l| self.input[2 * ctx.lane_ids()[l]]);
-        let odd = VReg::from_fn(ctx.lanes(), |l| self.input[2 * ctx.lane_ids()[l] + 1]);
-        let c = ctx.splat(INV_SQRT2);
-        let sum = ctx.add(&even, &odd);
-        let diff = ctx.sub(&even, &odd);
-        let a = ctx.mul(&sum, &c);
-        let d = ctx.mul(&diff, &c);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.approx[gid] = a[l];
-            self.detail[gid] = d[l];
-        }
-    }
-}
-
-impl ShardKernel for HaarLevel {
-    fn fork(&self) -> Self {
-        Self {
-            input: self.input.clone(),
-            approx: vec![0.0; self.approx.len()],
-            detail: vec![0.0; self.detail.len()],
-        }
-    }
-
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        for &gid in gids {
-            self.approx[gid] = shard.approx[gid];
-            self.detail[gid] = shard.detail[gid];
-        }
-    }
-}
-
-/// Runs the full Haar decomposition of `signal` on `device`.
-///
-/// # Panics
-///
-/// Panics unless the signal length is a power of two of at least 2.
-///
-/// # Examples
-///
-/// ```
-/// use tm_kernels::haar::{haar_reference, run_haar};
-/// use tm_sim::{Device, DeviceConfig};
-///
-/// let signal: Vec<f32> = (0..16).map(|i| i as f32).collect();
-/// let mut device = Device::new(DeviceConfig::default());
-/// let out = run_haar(&mut device, &signal);
-/// assert_eq!(out, haar_reference(&signal));
-/// ```
-#[must_use]
-pub fn run_haar(device: &mut Device, signal: &[f32]) -> Vec<f32> {
-    let n = signal.len();
-    assert!(
-        n >= 2 && n.is_power_of_two(),
-        "signal length {n} must be a power of two >= 2"
-    );
-    let mut out = vec![0.0f32; n];
-    let mut current = signal.to_vec();
-    while current.len() > 1 {
-        let half = current.len() / 2;
-        let mut level = HaarLevel {
-            input: current,
-            approx: vec![0.0; half],
-            detail: vec![0.0; half],
-        };
-        device.dispatch(&mut level, half);
-        out[half..2 * half].copy_from_slice(&level.detail);
-        current = level.approx;
-    }
-    out[0] = current[0];
-    out
-}
 
 /// Host golden Haar decomposition (same arithmetic, scalar).
 ///
@@ -147,22 +61,9 @@ pub fn haar_inverse_reference(coeffs: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_fpu::FpOp;
-    use tm_sim::DeviceConfig;
 
     fn ramp(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i % 37) as f32 * 0.5).collect()
-    }
-
-    #[test]
-    fn device_matches_reference_bit_for_bit() {
-        let signal = ramp(1024);
-        let mut device = Device::new(DeviceConfig::default());
-        let out = run_haar(&mut device, &signal);
-        let golden = haar_reference(&signal);
-        for (a, b) in out.iter().zip(golden.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -181,15 +82,6 @@ mod tests {
         let coeffs = haar_reference(&signal);
         assert!((coeffs[0] - 4.0 * 8.0).abs() < 1e-4); // 4·√64
         assert!(coeffs[1..].iter().all(|&d| d.abs() < 1e-4));
-    }
-
-    #[test]
-    fn activates_add_sub_mul() {
-        let mut device = Device::new(DeviceConfig::default());
-        let _ = run_haar(&mut device, &ramp(256));
-        let report = device.report();
-        let ops: Vec<FpOp> = report.per_op.iter().map(|r| r.op).collect();
-        assert_eq!(ops, vec![FpOp::Add, FpOp::Sub, FpOp::Mul]);
     }
 
     #[test]

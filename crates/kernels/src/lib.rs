@@ -1,21 +1,24 @@
-//! The paper's workloads, reimplemented as SIMT kernels for the simulator.
+//! The paper's workloads, reimplemented as vector programs for the
+//! simulator.
 //!
 //! The evaluation (§4) divides applications into two classes, all selected
 //! from AMD APP SDK v2.5:
 //!
-//! - **error-tolerant** image processing: [`sobel`] and [`gaussian`]
-//!   filters, judged by PSNR ≥ 30 dB against the exact output;
+//! - **error-tolerant** image processing: the Sobel and Gaussian filters,
+//!   judged by PSNR ≥ 30 dB against the exact output (goldens in
+//!   [`tm_image`]);
 //! - **error-intolerant** general-purpose kernels: [`haar`] (1-D wavelet),
 //!   [`fwt`] (fast Walsh transform), [`black_scholes`] and [`binomial`]
 //!   (European option pricing), and [`eigenvalue`] (eigenvalues of a
 //!   symmetric tridiagonal matrix), judged by the SDK host program's
 //!   pass/fail check.
 //!
-//! Every module provides the device kernel (a [`tm_sim::Kernel`]), an
-//! independent host *golden* implementation, and tests pinning the two
-//! against each other. [`table1`] reproduces the paper's Table 1 (kernel ↔
-//! input parameter ↔ matching threshold), and [`workload`] exposes a
-//! uniform runner the benchmark harness drives.
+//! Every kernel is a [`tm_sim::program::VProgram`] built in [`ir`]; the
+//! per-kernel modules hold their inputs and independent host *golden*
+//! implementations, which the device runs reproduce bit for bit.
+//! [`table1`] reproduces the paper's Table 1 (kernel ↔ input parameter ↔
+//! matching threshold), and [`workload`] exposes a uniform runner the
+//! benchmark harness drives.
 //!
 //! # Examples
 //!
@@ -36,11 +39,9 @@ pub mod binomial;
 pub mod black_scholes;
 pub mod eigenvalue;
 pub mod fwt;
-pub mod gaussian;
 pub mod haar;
 pub mod ir;
 pub mod signature;
-pub mod sobel;
 mod table1;
 pub mod workload;
 

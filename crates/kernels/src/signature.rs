@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use tm_sim::program::{Bindings, VInst, VProgram};
+use tm_sim::program::{Addr, Bindings, BufferId, VInst, VProgram};
 
 /// How a program may use one bound buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +21,9 @@ pub enum BufferRole {
     Output,
     /// Both gathered and scattered (in-place kernels).
     InOut,
-    /// One f32 element position per work-item, used as gather/scatter
-    /// addressing and never read as data.
+    /// One f32 element position per work-item, used as
+    /// [`Addr::Indexed`] gather/scatter addressing and never read as
+    /// data.
     Indices,
     /// Read-only per-work-item broadcast of a launch- or
     /// wavefront-uniform parameter (treated as [`BufferRole::Input`] by
@@ -67,7 +68,8 @@ impl BufferBinding {
 /// The declared interface of one IR kernel build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSignature {
-    /// Kernel name (matches the closure twin's [`tm_sim::Kernel::name`]).
+    /// Kernel name; the program, its launch spans and its telemetry
+    /// series carry it.
     pub name: &'static str,
     /// One entry per bound buffer, covering ids `0..bindings.len()`.
     pub bindings: Vec<BufferBinding>,
@@ -95,8 +97,9 @@ impl KernelSignature {
     /// Verified properties:
     /// - every bound buffer is described exactly once, ids `0..len`;
     /// - the program's register count fits the budget;
-    /// - gathers read only gatherable data through `Indices` buffers;
-    /// - scatters write only scatterable data through `Indices` buffers;
+    /// - gathers read only gatherable data, and scatters write only
+    ///   scatterable data, addressed through `Indices` buffers or
+    ///   computed addressing (`gid`, grid neighbours);
     /// - every declared output is scatterable and actually written;
     /// - no described buffer goes entirely unused by the program.
     ///
@@ -135,60 +138,41 @@ impl KernelSignature {
         let mut used = vec![false; bindings.len()];
         let mut scattered = vec![false; bindings.len()];
         for (pc, inst) in program.instructions().iter().enumerate() {
-            match inst {
-                VInst::Gather { data, indices, .. } => {
-                    for id in [*data, *indices] {
-                        if id >= used.len() {
-                            return err(format!("{}: pc {pc} reads unbound buffer {id}", self.name));
-                        }
-                        used[id] = true;
-                    }
-                    if !role(*data).gatherable() {
-                        return err(format!(
-                            "{}: pc {pc} gathers from {:?} buffer {}",
-                            self.name,
-                            role(*data),
-                            *data
-                        ));
-                    }
-                    if role(*indices) != BufferRole::Indices {
-                        return err(format!(
-                            "{}: pc {pc} gathers through non-index buffer {}",
-                            self.name, *indices
-                        ));
-                    }
+            let (gather, data, addr) = match inst {
+                VInst::Gather { data, addr, .. } => (true, *data, *addr),
+                VInst::Scatter { data, addr, .. } => (false, *data, *addr),
+                _ => continue,
+            };
+            let (verb, preposition, access) = if gather {
+                ("gathers", "from", "reads")
+            } else {
+                ("scatters", "into", "writes")
+            };
+            let ids: Vec<BufferId> = std::iter::once(data).chain(addr.index_buffer()).collect();
+            for id in ids {
+                if id >= used.len() {
+                    return err(format!("{}: pc {pc} {access} unbound buffer {id}", self.name));
                 }
-                VInst::Scatter { data, indices, .. } => {
-                    for id in [*data, *indices] {
-                        if id >= used.len() {
-                            return err(format!(
-                                "{}: pc {pc} writes unbound buffer {id}",
-                                self.name
-                            ));
-                        }
-                        used[id] = true;
-                    }
-                    if !role(*data).scatterable() {
-                        return err(format!(
-                            "{}: pc {pc} scatters into {:?} buffer {}",
-                            self.name,
-                            role(*data),
-                            *data
-                        ));
-                    }
-                    if role(*indices) != BufferRole::Indices {
-                        return err(format!(
-                            "{}: pc {pc} scatters through non-index buffer {}",
-                            self.name, *indices
-                        ));
-                    }
-                    scattered[*data] = true;
+                used[id] = true;
+            }
+            let allowed = if gather { role(data).gatherable() } else { role(data).scatterable() };
+            if !allowed {
+                return err(format!(
+                    "{}: pc {pc} {verb} {preposition} {:?} buffer {data}",
+                    self.name,
+                    role(data)
+                ));
+            }
+            if let Addr::Indexed(ids) = addr {
+                if role(ids) != BufferRole::Indices {
+                    return err(format!(
+                        "{}: pc {pc} {verb} through non-index buffer {ids}",
+                        self.name
+                    ));
                 }
-                VInst::Alu { .. }
-                | VInst::LaneId { .. }
-                | VInst::PushMask { .. }
-                | VInst::PopMask
-                | VInst::LaneShift { .. } => {}
+            }
+            if !gather {
+                scattered[data] = true;
             }
         }
 
@@ -229,9 +213,9 @@ mod tests {
         let program = VProgram::new(
             1,
             vec![
-                VInst::Gather { dst: 0, data: 0, indices: 1 },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
                 VInst::Alu { op: FpOp::Add, dst: 0, srcs: vec![Src::Reg(0), Src::Imm(1.0)] },
-                VInst::Scatter { src: 0, data: 2, indices: 1 },
+                VInst::Scatter { src: 0, data: 2, addr: Addr::Indexed(1) },
             ],
         )
         .unwrap();
@@ -299,6 +283,39 @@ mod tests {
         sig.outputs = vec![0];
         let e = sig.validate(&program, &bindings).unwrap_err();
         assert!(e.to_string().contains("never scattered"), "{e}");
+    }
+
+    #[test]
+    fn computed_addressing_needs_no_index_buffer() {
+        let program = VProgram::new(
+            1,
+            vec![
+                VInst::Gather {
+                    dst: 0,
+                    data: 0,
+                    addr: Addr::Neighbour { dx: -1, dy: 1, width: 2 },
+                },
+                VInst::Scatter { src: 0, data: 1, addr: Addr::Gid },
+            ],
+        )
+        .unwrap();
+        let bindings = Bindings::new(vec![vec![1.0; 4], vec![0.0; 4]]);
+        let sig = KernelSignature {
+            name: "stencil",
+            bindings: vec![
+                BufferBinding::new(0, BufferRole::Input, "in"),
+                BufferBinding::new(1, BufferRole::Output, "out"),
+            ],
+            register_budget: 1,
+            outputs: vec![1],
+        };
+        sig.validate(&program, &bindings).unwrap();
+        // An indexed access still needs an `Indices` buffer.
+        let mut bad = tiny_signature();
+        bad.bindings[1].role = BufferRole::Input;
+        let (program, bindings) = tiny();
+        let e = bad.validate(&program, &bindings).unwrap_err();
+        assert!(e.to_string().contains("non-index buffer"), "{e}");
     }
 
     #[test]

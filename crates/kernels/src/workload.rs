@@ -1,17 +1,15 @@
 //! A uniform runner over the seven workloads, used by the experiment
 //! harness and the benches.
 
-use crate::binomial::{binomial_reference, BinomialKernel, OptionSpec};
-use crate::black_scholes::{black_scholes_reference, BlackScholesKernel, OptionBatch};
-use crate::eigenvalue::{eigenvalue_reference, EigenValueKernel, Tridiagonal};
-use crate::fwt::{fwt_reference, run_fwt};
-use crate::gaussian::GaussianKernel;
-use crate::haar::{haar_reference, run_haar};
+use crate::binomial::{binomial_reference, OptionSpec};
+use crate::black_scholes::{black_scholes_reference, OptionBatch};
+use crate::eigenvalue::{eigenvalue_reference, Tridiagonal};
+use crate::fwt::fwt_reference;
+use crate::haar::haar_reference;
 use crate::ir::{
-    binomial_program, black_scholes_program, eigenvalue_program, gaussian_program, run_fwt_ir,
-    run_haar_ir, sobel_program, ImageProgram,
+    binomial_program, black_scholes_program, eigenvalue_program, fwt_on_device, gaussian_program,
+    haar_on_device, sobel_program, ImageProgram,
 };
-use crate::sobel::SobelKernel;
 use crate::table1::KernelId;
 use tm_rng::Pcg32;
 use tm_image::{gaussian3x3_reference, psnr, sobel_reference, synth, GrayImage};
@@ -85,27 +83,14 @@ pub fn image_side(scale: Scale) -> usize {
 
 /// Builds the workload for `id` at `scale`, deterministically from `seed`.
 ///
-/// Image kernels default to the *face* input; use [`build_image`] to pick
-/// *book* (Figs. 4 and 5).
+/// Every workload runs its [`crate::ir`] vector program through
+/// [`Device::run_program`] one wavefront at a time per compute unit
+/// (`in_flight = 1`). Image kernels default to the *face* input; use
+/// [`build_image`] to pick *book* (Figs. 4 and 5).
 #[must_use]
 pub fn build(id: KernelId, scale: Scale, seed: u64) -> Box<dyn DeviceWorkload> {
-    build_inner(id, scale, seed, false)
-}
-
-/// Builds the IR twin of [`build`]: the same inputs, references and
-/// acceptance checks, but executed as a [`crate::ir`] vector program
-/// through [`Device::run_program`] at `in_flight = 1` — which makes an
-/// exact-matching run bit-identical to the closure twin, report and all.
-#[must_use]
-pub fn build_ir(id: KernelId, scale: Scale, seed: u64) -> Box<dyn DeviceWorkload> {
-    build_inner(id, scale, seed, true)
-}
-
-fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn DeviceWorkload> {
     match id {
-        KernelId::Sobel | KernelId::Gaussian => {
-            build_image_inner(id, InputImage::Face, scale, seed, ir)
-        }
+        KernelId::Sobel | KernelId::Gaussian => build_image(id, InputImage::Face, scale, seed),
         KernelId::Haar => {
             let n = match scale {
                 Scale::Test => 256,
@@ -117,7 +102,7 @@ fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn Devic
             // source of the kernel's value locality.
             let mut rng = Pcg32::seed_from_u64(seed ^ 0x44A2);
             let signal = (0..n).map(|_| rng.gen_range(0..10) as f32).collect();
-            Box::new(HaarWorkload { signal, ir })
+            Box::new(HaarWorkload { signal })
         }
         KernelId::Fwt => {
             let n = match scale {
@@ -129,7 +114,7 @@ fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn Devic
             // SDK-style `rand() % k` small-integer inputs (see DESIGN.md).
             let mut rng = Pcg32::seed_from_u64(seed ^ 0xF3A7);
             let signal = (0..n).map(|_| rng.gen_range(0..8) as f32).collect();
-            Box::new(FwtWorkload { signal, ir })
+            Box::new(FwtWorkload { signal })
         }
         KernelId::BlackScholes => {
             let n = match scale {
@@ -139,7 +124,6 @@ fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn Devic
             };
             Box::new(BlackScholesWorkload {
                 batch: OptionBatch::generate(n, seed),
-                ir,
             })
         }
         KernelId::BinomialOption => {
@@ -152,7 +136,6 @@ fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn Devic
                 options: OptionSpec::generate(n, seed),
                 // Table 1: input parameter 20 (lattice steps).
                 steps: 20,
-                ir,
             })
         }
         KernelId::EigenValue => {
@@ -166,10 +149,16 @@ fn build_inner(id: KernelId, scale: Scale, seed: u64, ir: bool) -> Box<dyn Devic
             Box::new(EigenValueWorkload {
                 matrix: Tridiagonal::generate(n, seed),
                 iterations,
-                ir,
             })
         }
     }
+}
+
+/// The same workload as [`build`] (an alias kept for callers that named
+/// the vector-program form explicitly).
+#[must_use]
+pub fn build_ir(id: KernelId, scale: Scale, seed: u64) -> Box<dyn DeviceWorkload> {
+    build(id, scale, seed)
 }
 
 /// Builds an image workload (Sobel or Gaussian) over a chosen input image.
@@ -184,73 +173,48 @@ pub fn build_image(
     scale: Scale,
     seed: u64,
 ) -> Box<dyn DeviceWorkload> {
-    build_image_inner(id, image, scale, seed, false)
-}
-
-fn build_image_inner(
-    id: KernelId,
-    image: InputImage,
-    scale: Scale,
-    seed: u64,
-    ir: bool,
-) -> Box<dyn DeviceWorkload> {
     let input = image.generate(image_side(scale), seed);
     match id {
-        KernelId::Sobel => Box::new(SobelWorkload { input, ir }),
-        KernelId::Gaussian => Box::new(GaussianWorkload { input, ir }),
+        KernelId::Sobel => Box::new(ImageWorkload {
+            id,
+            input,
+            build: sobel_program,
+            reference: sobel_reference,
+        }),
+        KernelId::Gaussian => Box::new(ImageWorkload {
+            id,
+            input,
+            build: gaussian_program,
+            reference: gaussian3x3_reference,
+        }),
         other => panic!("{other} is not an image kernel"),
     }
 }
 
-/// Runs a built IR bundle at the parity interleaving depth and returns
-/// its primary output buffer.
+/// Runs a built IR bundle one wavefront at a time per CU and returns its
+/// primary output buffer.
 fn run_bundle(device: &mut Device, mut ip: ImageProgram) -> Vec<f32> {
     device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
-    ip.bindings.buffer(ip.output).to_vec()
+    ip.take_output()
 }
 
-struct SobelWorkload {
+/// A 3×3 filter over one input image.
+struct ImageWorkload {
+    id: KernelId,
     input: GrayImage,
-    ir: bool,
+    build: fn(&GrayImage) -> ImageProgram,
+    reference: fn(&GrayImage) -> GrayImage,
 }
 
-impl DeviceWorkload for SobelWorkload {
+impl DeviceWorkload for ImageWorkload {
     fn id(&self) -> KernelId {
-        KernelId::Sobel
+        self.id
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            run_bundle(device, sobel_program(&self.input))
-        } else {
-            SobelKernel::new(&self.input).run(device).into_vec()
-        }
+        run_bundle(device, (self.build)(&self.input))
     }
     fn reference(&self) -> Vec<f32> {
-        sobel_reference(&self.input).into_vec()
-    }
-    fn acceptable(&self, output: &[f32]) -> bool {
-        image_acceptable(&self.input, &self.reference(), output)
-    }
-}
-
-struct GaussianWorkload {
-    input: GrayImage,
-    ir: bool,
-}
-
-impl DeviceWorkload for GaussianWorkload {
-    fn id(&self) -> KernelId {
-        KernelId::Gaussian
-    }
-    fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            run_bundle(device, gaussian_program(&self.input))
-        } else {
-            GaussianKernel::new(&self.input).run(device).into_vec()
-        }
-    }
-    fn reference(&self) -> Vec<f32> {
-        gaussian3x3_reference(&self.input).into_vec()
+        (self.reference)(&self.input).into_vec()
     }
     fn acceptable(&self, output: &[f32]) -> bool {
         image_acceptable(&self.input, &self.reference(), output)
@@ -269,7 +233,6 @@ fn image_acceptable(input: &GrayImage, reference: &[f32], output: &[f32]) -> boo
 
 struct HaarWorkload {
     signal: Vec<f32>,
-    ir: bool,
 }
 
 impl DeviceWorkload for HaarWorkload {
@@ -277,11 +240,7 @@ impl DeviceWorkload for HaarWorkload {
         KernelId::Haar
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            run_haar_ir(device, &self.signal, 1)
-        } else {
-            run_haar(device, &self.signal)
-        }
+        haar_on_device(device, &self.signal, 1)
     }
     fn reference(&self) -> Vec<f32> {
         haar_reference(&self.signal)
@@ -293,7 +252,6 @@ impl DeviceWorkload for HaarWorkload {
 
 struct FwtWorkload {
     signal: Vec<f32>,
-    ir: bool,
 }
 
 impl DeviceWorkload for FwtWorkload {
@@ -301,11 +259,7 @@ impl DeviceWorkload for FwtWorkload {
         KernelId::Fwt
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            run_fwt_ir(device, &self.signal, 1)
-        } else {
-            run_fwt(device, &self.signal)
-        }
+        fwt_on_device(device, &self.signal, 1)
     }
     fn reference(&self) -> Vec<f32> {
         fwt_reference(&self.signal)
@@ -317,7 +271,6 @@ impl DeviceWorkload for FwtWorkload {
 
 struct BlackScholesWorkload {
     batch: OptionBatch,
-    ir: bool,
 }
 
 impl DeviceWorkload for BlackScholesWorkload {
@@ -325,17 +278,11 @@ impl DeviceWorkload for BlackScholesWorkload {
         KernelId::BlackScholes
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            let mut ip = black_scholes_program(&self.batch);
-            device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
-            let mut out = ip.bindings.buffer(ip.signature.outputs[0]).to_vec();
-            out.extend_from_slice(ip.bindings.buffer(ip.signature.outputs[1]));
-            out
-        } else {
-            let (mut call, mut put) = BlackScholesKernel::new(&self.batch).run(device);
-            call.append(&mut put);
-            call
-        }
+        let mut ip = black_scholes_program(&self.batch);
+        device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+        let mut out = ip.take_output();
+        out.extend_from_slice(ip.bindings.buffer(ip.signature.outputs[1]));
+        out
     }
     fn reference(&self) -> Vec<f32> {
         let n = self.batch.len();
@@ -363,7 +310,6 @@ impl DeviceWorkload for BlackScholesWorkload {
 struct BinomialWorkload {
     options: Vec<OptionSpec>,
     steps: usize,
-    ir: bool,
 }
 
 impl DeviceWorkload for BinomialWorkload {
@@ -371,12 +317,8 @@ impl DeviceWorkload for BinomialWorkload {
         KernelId::BinomialOption
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            let wf = device.config().wavefront_size;
-            run_bundle(device, binomial_program(&self.options, self.steps, wf))
-        } else {
-            BinomialKernel::new(&self.options, self.steps).run(device)
-        }
+        let wf = device.config().wavefront_size;
+        run_bundle(device, binomial_program(&self.options, self.steps, wf))
     }
     fn reference(&self) -> Vec<f32> {
         self.options
@@ -392,7 +334,6 @@ impl DeviceWorkload for BinomialWorkload {
 struct EigenValueWorkload {
     matrix: Tridiagonal,
     iterations: usize,
-    ir: bool,
 }
 
 impl DeviceWorkload for EigenValueWorkload {
@@ -400,11 +341,7 @@ impl DeviceWorkload for EigenValueWorkload {
         KernelId::EigenValue
     }
     fn run(&mut self, device: &mut Device) -> Vec<f32> {
-        if self.ir {
-            run_bundle(device, eigenvalue_program(&self.matrix, self.iterations))
-        } else {
-            EigenValueKernel::new(&self.matrix, self.iterations).run(device)
-        }
+        run_bundle(device, eigenvalue_program(&self.matrix, self.iterations))
     }
     fn reference(&self) -> Vec<f32> {
         (0..self.matrix.n())

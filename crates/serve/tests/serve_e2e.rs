@@ -16,7 +16,7 @@ fn server(config: ServerConfig) -> (JobServer, TelemetryHub) {
 /// Occupies the single worker long enough for the test to line up queued
 /// jobs behind it.
 const SLOW_JOB: &str =
-    r#"{"v":1,"type":"campaign","id":"slow","tenant":"slow","kernel":"sobel","scale":"test","trials":8,"seed":1}"#;
+    r#"{"v":1,"type":"campaign","id":"slow","tenant":"slow","kernel":"sobel","scale":"test","trials":32,"seed":1}"#;
 
 #[test]
 fn ping_stats_and_protocol_errors_over_the_wire() {

@@ -1,7 +1,7 @@
 //! Bytecode lowering and the lane-vectorized program VM.
 //!
-//! [`crate::program::VProgram`] is the canonical kernel form, but a
-//! direct tree-walk over [`crate::program::VInst`] pays avoidable
+//! [`crate::program::VProgram`] is the kernel form, but a direct
+//! tree-walk over [`crate::program::VInst`] pays avoidable
 //! per-instruction costs: immediates are re-splatted on every ALU step,
 //! gather/scatter addressing re-reads and re-converts `f32` index
 //! buffers lane by lane, and every instruction is a fresh dispatch.
@@ -12,22 +12,19 @@
 //!   register/immediate-pool cursors; the immediate pool is deduplicated
 //!   and splatted **once per launch** (`LaunchState`), not per step.
 //! - **Index caches** — when no scatter targets an index buffer (the
-//!   addressing is static, which validation of the packet stream checks
-//!   once at build), every index buffer is converted to `usize` once per
-//!   launch; the gather/scatter loops become straight lane-blocked
-//!   walks over precomputed indices.
+//!   addressing is static), every index buffer is converted to `usize`
+//!   once per launch. Computed addressing (`gid` and the clamped
+//!   neighbour of an image tap) needs no buffer at all.
 //! - **Packets** — runs of *free* (non-issuing) instructions — gathers,
 //!   lane ids, lane shifts, mask pushes/pops — collapse into one `Free`
 //!   packet; scatters of an ALU's destination fold into that ALU's
 //!   packet as a "pipe" tail (gather→alu→scatter without re-dispatch);
 //!   `MUL`-by-immediate + `EXP` pairs fuse into an exp-chain
-//!   superinstruction.
-//! - **Optional `MUL`+`ADD` → `MULADD` rewriting**
-//!   ([`CompileOptions::fuse_muladd`]) — off by default because the
-//!   hardware `MULADD` is a *fused* multiply-add: it changes both the
-//!   FIFO-visible op stream and (by one rounding) the numerics, so it is
-//!   a stream-altering optimization the bit-identity contract cannot
-//!   include. Everything above is stream-preserving.
+//!   superinstruction; loop markers become control packets, so a loop
+//!   body is lowered once however many times it runs.
+//!
+//! Every step is stream-preserving: the FPUs see the operand sets the
+//! instruction list describes, in the order it describes them.
 //!
 //! # Interleaving invariants
 //!
@@ -36,22 +33,26 @@
 //! *writes* them (an ALU body with its scatter tail, or a standalone
 //! scatter run), so coarsening the interleave from instructions to
 //! packets cannot change what any hazard-free or lane-private program
-//! computes. And because non-ALU instructions issue nothing to the
-//! FPUs, the per-CU sequence of `(wavefront, op, operands)` issues — the
-//! stream temporal memoization lives on — is *identical* to the
-//! instruction-granular walk at any `in_flight`, with one documented
-//! exception: an exp-chain packet issues its two ops back to back, where
-//! the instruction-granular walk could interleave another wavefront
-//! between them when `in_flight > 1`. At `in_flight == 1` (the closure
-//! oracle's semantics) every backend is bit-identical either way.
+//! computes. Every wavefront walks the same packet sequence (loop counts
+//! are launch-uniform), so the in-flight wavefronts of a CU advance in
+//! lockstep and packets that issue nothing — free runs, scatters, loop
+//! control — never reorder the FPU issues. The per-CU sequence of
+//! `(wavefront, op, operands)` issues — the stream temporal memoization
+//! lives on — is therefore *identical* to the instruction-granular walk
+//! at any `in_flight`, with one documented exception: an exp-chain
+//! packet issues its two ops back to back, where the
+//! instruction-granular walk could interleave another wavefront between
+//! them when `in_flight > 1`. At `in_flight == 1` every backend is
+//! bit-identical either way.
 //!
 //! Lane order is fixed: every loop here walks lanes `0..lanes` in
 //! ascending order (the stream-core-major issue order lives inside
-//! [`ComputeUnit`] and is shared with the closure path), so all three
-//! backends produce byte-identical [`crate::DeviceReport`]s.
+//! [`ComputeUnit`]), so all three backends produce byte-identical
+//! [`crate::DeviceReport`]s.
 
 use crate::compute_unit::{ComputeUnit, ShardJournal};
-use crate::program::{Bindings, BufferId, Src, VInst, VProgram, VReg8};
+use crate::obs::DeviceObs;
+use crate::program::{Addr, Bindings, BufferId, Grid, Src, VInst, VProgram, VReg8};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use tm_fpu::{FpOp, MAX_ARITY};
@@ -61,17 +62,6 @@ use tm_fpu::{FpOp, MAX_ARITY};
 /// launches (a Haar level, an FWT stage) thread spawn plus journal merge
 /// costs more than the work itself — the fwt-ir "parallel cliff".
 pub const SMALL_KERNEL_LANE_OPS: usize = 1 << 18;
-
-/// Knobs for [`CompiledProgram::compile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Rewrite `MUL t, a, b; ADD d, t, c` into `MULADD d, a, b, c` when
-    /// `t` is dead afterwards. **Stream-altering**: the fused op changes
-    /// the per-FPU operand streams and (by one rounding step) the
-    /// numerics, so reports are no longer comparable to the unfused
-    /// form. Defaults to `false`.
-    pub fuse_muladd: bool,
-}
 
 /// An ALU operand slot, resolved at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +87,7 @@ struct AluStep {
 #[derive(Debug, Clone, Copy)]
 enum FreeStep {
     LaneId { dst: VReg8 },
-    Gather { dst: VReg8, data: BufferId, indices: BufferId },
+    Gather { dst: VReg8, data: BufferId, addr: Addr },
     LaneShift { dst: VReg8, src: VReg8, offset: i32 },
     PushMask { mask: VReg8 },
     PopMask,
@@ -108,7 +98,7 @@ enum FreeStep {
 struct ScatterStep {
     src: VReg8,
     data: BufferId,
-    indices: BufferId,
+    addr: Addr,
 }
 
 /// One interpreter dispatch: the unit of wavefront interleaving.
@@ -123,6 +113,11 @@ enum Packet {
     ExpChain { idx: u32 },
     /// `scatters[first..first+len]` — buffer writes only.
     Scatters { first: u32, len: u32 },
+    /// Opens a loop of `count` iterations.
+    Loop { count: u32 },
+    /// Closes the innermost loop: back to packet `body` while
+    /// iterations remain.
+    EndLoop { body: u32 },
 }
 
 /// A [`VProgram`] lowered into flat bytecode. Built once per program
@@ -135,7 +130,6 @@ pub struct CompiledProgram {
     frees: Vec<FreeStep>,
     scatters: Vec<ScatterStep>,
     imms: Vec<f32>,
-    registers: usize,
     /// Registers read (or masked-written) before their first full
     /// write — the only ones a fresh wavefront must zero-initialize.
     zero_regs: Vec<VReg8>,
@@ -143,7 +137,6 @@ pub struct CompiledProgram {
     /// are sound.
     static_indices: bool,
     exp_chains: usize,
-    fused_muladds: usize,
 }
 
 impl CompiledProgram {
@@ -154,19 +147,15 @@ impl CompiledProgram {
     /// Panics if the program needs more than `u16::MAX` distinct
     /// immediates (no real kernel comes close).
     #[must_use]
-    pub fn compile(program: &VProgram, options: &CompileOptions) -> Self {
-        let source = program.clone();
-        let (insts, fused_muladds) = if options.fuse_muladd {
-            rewrite_muladd(program.instructions())
-        } else {
-            (program.instructions().to_vec(), 0)
-        };
-
+    pub fn compile(program: &VProgram) -> Self {
         let mut packets: Vec<Packet> = Vec::new();
         let mut alus: Vec<AluStep> = Vec::new();
         let mut frees: Vec<FreeStep> = Vec::new();
         let mut scatters: Vec<ScatterStep> = Vec::new();
         let mut imms: Vec<f32> = Vec::new();
+        let mut exp_chains = 0usize;
+        // Packet index of each open loop's `Loop` packet.
+        let mut open_loops: Vec<usize> = Vec::new();
 
         fn push_free(packets: &mut Vec<Packet>, frees: &mut Vec<FreeStep>, step: FreeStep) {
             let pos = frees.len() as u32;
@@ -177,15 +166,15 @@ impl CompiledProgram {
             }
         }
 
-        for inst in &insts {
+        for inst in program.instructions() {
             match inst {
                 VInst::LaneId { dst } => {
                     push_free(&mut packets, &mut frees, FreeStep::LaneId { dst: *dst });
                 }
-                VInst::Gather { dst, data, indices } => push_free(
+                VInst::Gather { dst, data, addr } => push_free(
                     &mut packets,
                     &mut frees,
-                    FreeStep::Gather { dst: *dst, data: *data, indices: *indices },
+                    FreeStep::Gather { dst: *dst, data: *data, addr: *addr },
                 ),
                 VInst::LaneShift { dst, src, offset } => push_free(
                     &mut packets,
@@ -204,6 +193,7 @@ impl CompiledProgram {
                             Src::Imm(v) => Cursor::Imm(intern_imm(&mut imms, *v)),
                         };
                     }
+                    let idx = alus.len() as u32;
                     alus.push(AluStep {
                         op: *op,
                         dst: *dst,
@@ -212,15 +202,39 @@ impl CompiledProgram {
                         scatter_first: 0,
                         scatter_len: 0,
                     });
-                    packets.push(Packet::Alu { idx: (alus.len() - 1) as u32 });
+                    // Exp-chain fusion: a MUL by an immediate feeding an
+                    // EXP of its result (the `exp(x) = exp2(x·log2 e)`
+                    // shape every transcendental lowering emits). Purely
+                    // structural — both ops still issue, in order, with
+                    // unchanged operands.
+                    if let Some(Packet::Alu { idx: prev }) = packets.last().copied() {
+                        let (a, b) = (&alus[prev as usize], &alus[idx as usize]);
+                        if a.op == FpOp::Mul
+                            && a.scatter_len == 0
+                            && a.srcs[..2].iter().any(|c| matches!(c, Cursor::Imm(_)))
+                            && b.op == FpOp::Exp2
+                            && b.srcs[0] == Cursor::Reg(a.dst)
+                        {
+                            *packets.last_mut().expect("checked above") =
+                                Packet::ExpChain { idx: prev };
+                            exp_chains += 1;
+                            continue;
+                        }
+                    }
+                    packets.push(Packet::Alu { idx });
                 }
-                VInst::Scatter { src, data, indices } => {
-                    let step = ScatterStep { src: *src, data: *data, indices: *indices };
+                VInst::Scatter { src, data, addr } => {
+                    let step = ScatterStep { src: *src, data: *data, addr: *addr };
                     // Fold into the producing ALU's tail: the packet
                     // stays write-only (the ALU reads registers, not
                     // buffers) and the fold is contiguous by
                     // construction (the ALU is still the last packet).
-                    if let Some(Packet::Alu { idx }) = packets.last().copied() {
+                    let producer = match packets.last() {
+                        Some(Packet::Alu { idx }) => Some(*idx),
+                        Some(Packet::ExpChain { idx }) => Some(idx + 1),
+                        _ => None,
+                    };
+                    if let Some(idx) = producer {
                         let a = &mut alus[idx as usize];
                         if a.dst == *src {
                             if a.scatter_len == 0 {
@@ -238,70 +252,37 @@ impl CompiledProgram {
                         _ => packets.push(Packet::Scatters { first: pos, len: 1 }),
                     }
                 }
-            }
-        }
-
-        // Exp-chain fusion: MUL-by-immediate feeding an EXP of its
-        // result (the `exp(x) = exp2(x·log2 e)` shape every
-        // transcendental lowering emits). Purely structural — both ops
-        // still issue, in order, with unchanged operands.
-        let mut fused = Vec::with_capacity(packets.len());
-        let mut exp_chains = 0usize;
-        let mut p = 0;
-        while p < packets.len() {
-            if p + 1 < packets.len() {
-                if let (Packet::Alu { idx: i }, Packet::Alu { idx: j }) =
-                    (packets[p], packets[p + 1])
-                {
-                    let (a, b) = (&alus[i as usize], &alus[j as usize]);
-                    if j == i + 1
-                        && a.op == FpOp::Mul
-                        && a.scatter_len == 0
-                        && a.srcs[..2].iter().any(|c| matches!(c, Cursor::Imm(_)))
-                        && b.op == FpOp::Exp2
-                        && b.srcs[0] == Cursor::Reg(a.dst)
-                    {
-                        fused.push(Packet::ExpChain { idx: i });
-                        exp_chains += 1;
-                        p += 2;
-                        continue;
-                    }
+                VInst::Loop { count } => {
+                    open_loops.push(packets.len());
+                    packets.push(Packet::Loop { count: *count });
+                }
+                VInst::EndLoop => {
+                    let opener = open_loops.pop().expect("validated loop nesting");
+                    packets.push(Packet::EndLoop { body: opener as u32 + 1 });
                 }
             }
-            fused.push(packets[p]);
-            p += 1;
         }
 
-        let scattered: BTreeSet<BufferId> = source
-            .instructions()
+        let scattered: BTreeSet<BufferId> = scatters.iter().map(|s| s.data).collect();
+        let static_indices = frees
             .iter()
-            .filter_map(|i| match i {
-                VInst::Scatter { data, .. } => Some(*data),
+            .filter_map(|f| match f {
+                FreeStep::Gather { addr, .. } => addr.index_buffer(),
                 _ => None,
             })
-            .collect();
-        let index_bufs: BTreeSet<BufferId> = source
-            .instructions()
-            .iter()
-            .filter_map(|i| match i {
-                VInst::Gather { indices, .. } | VInst::Scatter { indices, .. } => Some(*indices),
-                _ => None,
-            })
-            .collect();
-        let static_indices = scattered.intersection(&index_bufs).next().is_none();
+            .chain(scatters.iter().filter_map(|s| s.addr.index_buffer()))
+            .all(|ids| !scattered.contains(&ids));
 
         Self {
-            registers: source.registers(),
-            zero_regs: regs_needing_zero(&insts, source.registers()),
-            source,
-            packets: fused,
+            zero_regs: regs_needing_zero(program.instructions(), program.registers()),
+            source: program.clone(),
+            packets,
             alus,
             frees,
             scatters,
             imms,
             static_indices,
             exp_chains,
-            fused_muladds,
         }
     }
 
@@ -312,7 +293,14 @@ impl CompiledProgram {
         &self.source
     }
 
-    /// Number of interpreter packets (dispatches per wavefront pass).
+    /// The program's name (see [`VProgram::with_name`]).
+    #[must_use]
+    pub fn name(&self) -> &str {
+        self.source.name()
+    }
+
+    /// Number of interpreter packets (dispatches per wavefront pass,
+    /// loop bodies counted once).
     #[must_use]
     pub fn packet_count(&self) -> usize {
         self.packets.len()
@@ -324,18 +312,12 @@ impl CompiledProgram {
         self.exp_chains
     }
 
-    /// Number of `MUL`+`ADD` pairs rewritten to `MULADD`
-    /// (always 0 unless [`CompileOptions::fuse_muladd`] was set).
-    #[must_use]
-    pub fn fused_muladds(&self) -> usize {
-        self.fused_muladds
-    }
-
     /// Whether a threaded engine should delegate this launch to the
-    /// sequential engine (see [`SMALL_KERNEL_LANE_OPS`]).
+    /// sequential engine (see [`SMALL_KERNEL_LANE_OPS`]). Loop bodies
+    /// count once per iteration.
     #[must_use]
     pub fn prefers_sequential(&self, global_size: usize) -> bool {
-        self.source.len().saturating_mul(global_size) < SMALL_KERNEL_LANE_OPS
+        self.source.dynamic_len().saturating_mul(global_size) < SMALL_KERNEL_LANE_OPS
     }
 }
 
@@ -343,7 +325,9 @@ impl CompiledProgram {
 /// source, mask, lane-shift input or scatter payload) — or written under
 /// a mask, which preserves inactive lanes — before their first full
 /// unconditional write. Everything else is overwritten before any read,
-/// so a fresh wavefront can skip zeroing it.
+/// so a fresh wavefront can skip zeroing it. A loop's first iteration
+/// runs its body in list order, so the linear walk sees every first
+/// read.
 fn regs_needing_zero(insts: &[VInst], registers: usize) -> Vec<VReg8> {
     let mut written = vec![false; registers];
     let mut needs = vec![false; registers];
@@ -379,6 +363,7 @@ fn regs_needing_zero(insts: &[VInst], registers: usize) -> Vec<VReg8> {
             }
             VInst::PopMask => depth = depth.saturating_sub(1),
             VInst::Scatter { src, .. } => read(*src, &written, &mut needs),
+            VInst::Loop { .. } | VInst::EndLoop => {}
         }
     }
     (0..registers)
@@ -400,54 +385,6 @@ fn intern_imm(imms: &mut Vec<f32>, v: f32) -> u16 {
     u16::try_from(at).expect("immediate pool exceeds u16 indices")
 }
 
-/// `MUL t, a, b; ADD d, t, c → MULADD d, a, b, c` where `t` is dead
-/// after the pair. Returns the rewritten list and the rewrite count.
-fn rewrite_muladd(insts: &[VInst]) -> (Vec<VInst>, usize) {
-    let reg_read_later = |from: usize, reg: VReg8| {
-        insts[from..].iter().any(|inst| match inst {
-            VInst::Alu { srcs, .. } => {
-                srcs.iter().any(|s| matches!(s, Src::Reg(r) if *r == reg))
-            }
-            VInst::Scatter { src, .. } => *src == reg,
-            VInst::PushMask { mask } => *mask == reg,
-            VInst::LaneShift { src, .. } => *src == reg,
-            VInst::Gather { .. } | VInst::LaneId { .. } | VInst::PopMask => false,
-        })
-    };
-    let mut out = Vec::with_capacity(insts.len());
-    let mut fused = 0usize;
-    let mut i = 0;
-    while i < insts.len() {
-        if i + 1 < insts.len() {
-            if let (
-                VInst::Alu { op: FpOp::Mul, dst: t, srcs: mul_srcs },
-                VInst::Alu { op: FpOp::Add, dst: d, srcs: add_srcs },
-            ) = (&insts[i], &insts[i + 1])
-            {
-                let uses_t: Vec<bool> = add_srcs
-                    .iter()
-                    .map(|s| matches!(s, Src::Reg(r) if r == t))
-                    .collect();
-                let t_dead = *d == *t || !reg_read_later(i + 2, *t);
-                if uses_t.iter().filter(|u| **u).count() == 1 && t_dead {
-                    let c = if uses_t[0] { add_srcs[1] } else { add_srcs[0] };
-                    out.push(VInst::Alu {
-                        op: FpOp::MulAdd,
-                        dst: *d,
-                        srcs: vec![mul_srcs[0], mul_srcs[1], c],
-                    });
-                    fused += 1;
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        out.push(insts[i].clone());
-        i += 1;
-    }
-    (out, fused)
-}
-
 /// One journaled scatter write (`bindings[data][index] = value`) for the
 /// parallel engine's CU-order replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -467,6 +404,55 @@ pub(crate) struct ScatterRec {
     pub data: BufferId,
     pub index: usize,
     pub value: f32,
+}
+
+/// Which lanes a queue drain executes, and where their side effects go.
+pub(crate) enum Lanes<'j> {
+    /// Every lane, issuing through the CU's sinks. With a journal,
+    /// scatters are applied to the (local) bindings *and* recorded for
+    /// replay onto the shared bindings.
+    Whole(Option<&'j mut Vec<ScatterWrite>>),
+    /// Only the lanes on the stream cores in `sc_range` (one intra-CU
+    /// shard): ALU events go to the shard journal and scatters to an
+    /// ordinal-keyed log for the deterministic merge.
+    Shard {
+        sc_range: Range<usize>,
+        num_scs: usize,
+        journal: &'j mut ShardJournal,
+        scatters: &'j mut Vec<ScatterRec>,
+        /// Scatter steps executed so far — identical across shards even
+        /// when a shard owns no active lane of a step.
+        ordinal: u32,
+    },
+}
+
+impl Lanes<'_> {
+    /// Whether lane position `lane` of a wavefront is executed here.
+    fn owns(&self, lane: usize) -> bool {
+        match self {
+            Lanes::Whole(_) => true,
+            Lanes::Shard { sc_range, num_scs, .. } => sc_range.contains(&(lane % num_scs)),
+        }
+    }
+}
+
+/// Where a queue drain records its per-wavefront cycle spans: on the
+/// CU's cycle track for in-flight slot 0, and on track
+/// `cu + slot × num_cus` for slot *k* — each slot's wavefronts run back
+/// to back, so every track stays well nested at any `in_flight`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WaveTrace<'a> {
+    pub obs: &'a DeviceObs,
+    pub cu: usize,
+    pub num_cus: usize,
+}
+
+impl<'a> WaveTrace<'a> {
+    /// The trace target for `cu`, if `obs` records spans.
+    pub(crate) fn new(obs: Option<&'a DeviceObs>, cu: usize, num_cus: usize) -> Option<Self> {
+        obs.filter(|o| o.has_recorder())
+            .map(|obs| Self { obs, cu, num_cus })
+    }
 }
 
 /// Per-launch derived state, shared read-only by every CU/worker: the
@@ -492,10 +478,10 @@ impl LaunchState {
                 .frees
                 .iter()
                 .filter_map(|f| match f {
-                    FreeStep::Gather { indices, .. } => Some(*indices),
+                    FreeStep::Gather { addr, .. } => addr.index_buffer(),
                     _ => None,
                 })
-                .chain(compiled.scatters.iter().map(|s| s.indices))
+                .chain(compiled.scatters.iter().filter_map(|s| s.addr.index_buffer()))
                 .collect();
             for id in used {
                 // Out-of-range or short buffers fall back to live reads,
@@ -513,37 +499,43 @@ impl LaunchState {
         }
         Self { imm_lanes, index_cache }
     }
+
+    /// The cached element positions `addr` selects, indexed by gid.
+    fn cached(&self, addr: Addr) -> Option<&[usize]> {
+        let ids = addr.index_buffer()?;
+        self.index_cache.get(ids)?.as_deref()
+    }
 }
 
 /// One in-flight wavefront: program counter over packets, register
-/// file, and the mask stack (each entry already intersected with its
-/// predecessors, so the top *is* the active mask).
+/// file, the mask stack (each entry already intersected with its
+/// predecessors, so the top *is* the active mask) and the remaining
+/// iterations of each open loop.
 #[derive(Debug, Default)]
 struct WaveState {
+    /// The in-flight slot this state occupies (stable across resets).
+    slot: usize,
     start: usize,
     lanes: usize,
+    start_cycle: u64,
     pc: usize,
     regs: Vec<Vec<f32>>,
     masks: Vec<Vec<bool>>,
     mask_pool: Vec<Vec<bool>>,
+    loops: Vec<u32>,
 }
 
 impl WaveState {
-    fn new(range: Range<usize>, compiled: &CompiledProgram) -> Self {
-        let mut s = Self::default();
-        s.reset(range, compiled);
-        s
-    }
-
     /// Re-targets this state at a fresh wavefront, reusing every
     /// allocation. Only registers whose initial value is observable
     /// ([`CompiledProgram::zero_regs`]) are zeroed — the rest are fully
     /// overwritten before any read, so their stale lanes never escape.
-    fn reset(&mut self, range: Range<usize>, compiled: &CompiledProgram) {
+    fn reset(&mut self, range: Range<usize>, compiled: &CompiledProgram, cycle: u64) {
         self.start = range.start;
         self.lanes = range.len();
+        self.start_cycle = cycle;
         self.pc = 0;
-        self.regs.resize_with(compiled.registers, Vec::new);
+        self.regs.resize_with(compiled.source.registers(), Vec::new);
         for r in &mut self.regs {
             r.resize(self.lanes, 0.0);
         }
@@ -551,6 +543,7 @@ impl WaveState {
             self.regs[r as usize].fill(0.0);
         }
         self.mask_pool.append(&mut self.masks);
+        self.loops.clear();
     }
 }
 
@@ -563,39 +556,48 @@ struct ExecScratch {
 }
 
 /// Drains one CU's wavefront queue with `in_flight`-way packet
-/// interleaving. With a journal, scatters are applied to the (local)
-/// bindings *and* recorded for later replay onto the shared bindings.
-pub(crate) fn run_cu_compiled_queue(
+/// interleaving, executing the lanes `lanes` selects.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_cu_queue(
     cu: &mut ComputeUnit,
     compiled: &CompiledProgram,
     launch: &LaunchState,
-    queue: Vec<Range<usize>>,
+    queue: &[Range<usize>],
     bindings: &mut Bindings,
     in_flight: usize,
-    mut journal: Option<&mut Vec<ScatterWrite>>,
+    lanes: &mut Lanes<'_>,
+    trace: Option<WaveTrace<'_>>,
 ) {
+    debug_assert!(
+        matches!(lanes, Lanes::Whole(_)) || !compiled.source.has_cross_lane_ops(),
+        "cross-lane programs cannot be lane-sharded"
+    );
     let mut scratch = ExecScratch::default();
-    let mut pending = queue.into_iter();
-    let mut active: Vec<WaveState> = pending
-        .by_ref()
-        .take(in_flight)
-        .map(|r| WaveState::new(r, compiled))
-        .collect();
+    let mut pending = queue.iter().cloned();
+    let mut active: Vec<WaveState> = Vec::with_capacity(in_flight);
+    for (slot, range) in pending.by_ref().take(in_flight).enumerate() {
+        let mut ws = WaveState { slot, ..WaveState::default() };
+        ws.reset(range, compiled, cu.cycles());
+        active.push(ws);
+    }
     while !active.is_empty() {
         let mut i = 0;
         while i < active.len() {
-            step_packet(
-                cu,
-                compiled,
-                launch,
-                &mut active[i],
-                bindings,
-                journal.as_deref_mut(),
-                &mut scratch,
-            );
+            step_packet(cu, compiled, launch, &mut active[i], bindings, lanes, &mut scratch);
             if active[i].pc >= compiled.packets.len() {
+                if let Some(t) = trace {
+                    let ws = &active[i];
+                    t.obs.cycle_span(
+                        format!("wf:{}..{}", ws.start, ws.start + ws.lanes),
+                        "wavefront",
+                        (t.cu + ws.slot * t.num_cus) as u64,
+                        ws.start_cycle,
+                        cu.cycles(),
+                        Vec::new(),
+                    );
+                }
                 match pending.next() {
-                    Some(fresh) => active[i].reset(fresh, compiled),
+                    Some(fresh) => active[i].reset(fresh, compiled, cu.cycles()),
                     None => {
                         active.remove(i);
                         continue;
@@ -614,52 +616,51 @@ fn step_packet(
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &mut Bindings,
-    mut journal: Option<&mut Vec<ScatterWrite>>,
+    lanes: &mut Lanes<'_>,
     scratch: &mut ExecScratch,
 ) {
     match compiled.packets[ws.pc] {
         Packet::Free { first, len } => {
             for k in first..first + len {
-                exec_free(compiled.frees[k as usize], launch, ws, bindings, scratch);
+                exec_free(compiled.frees[k as usize], launch, ws, bindings, lanes, scratch);
             }
         }
         Packet::Alu { idx } => {
-            exec_alu(cu, compiled, launch, ws, bindings, journal, scratch, idx as usize);
+            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize);
         }
         Packet::ExpChain { idx } => {
-            exec_alu(
-                cu,
-                compiled,
-                launch,
-                ws,
-                bindings,
-                journal.as_deref_mut(),
-                scratch,
-                idx as usize,
-            );
-            exec_alu(cu, compiled, launch, ws, bindings, journal, scratch, idx as usize + 1);
+            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize);
+            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize + 1);
         }
         Packet::Scatters { first, len } => {
             for k in first..first + len {
-                exec_scatter(
-                    compiled.scatters[k as usize],
-                    launch,
-                    ws,
-                    bindings,
-                    journal.as_deref_mut(),
-                );
+                exec_scatter(compiled.scatters[k as usize], launch, ws, bindings, lanes);
             }
+        }
+        Packet::Loop { count } => ws.loops.push(count),
+        Packet::EndLoop { body } => {
+            let left = ws.loops.last_mut().expect("validated loop nesting");
+            *left -= 1;
+            if *left > 0 {
+                ws.pc = body as usize;
+                return;
+            }
+            ws.loops.pop();
         }
     }
     ws.pc += 1;
 }
 
-/// Executes one free (non-issuing) step.
+/// Executes one free (non-issuing) step. Lane ids and masks fill every
+/// lane (they are pure functions of wavefront-visible state); gathers
+/// fill executed lanes only — in a shard, non-owned registers stay 0.0
+/// and feed nothing the shard executes.
 fn exec_free(
     step: FreeStep,
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &Bindings,
+    lanes: &Lanes<'_>,
     scratch: &mut ExecScratch,
 ) {
     match step {
@@ -669,17 +670,48 @@ fn exec_free(
                 *r = (start + l) as f32;
             }
         }
-        FreeStep::Gather { dst, data, indices } => {
+        FreeStep::Gather { dst, data, addr } => {
+            let start = ws.start;
             let reg = &mut ws.regs[dst as usize];
-            if let Some(cache) = launch.index_cache.get(indices).and_then(Option::as_ref) {
-                let data = bindings.buffer(data);
-                for (r, &idx) in reg.iter_mut().zip(&cache[ws.start..ws.start + ws.lanes]) {
-                    *r = data[idx];
+            let buf = bindings.buffer(data);
+            match addr {
+                Addr::Indexed(ids) => match launch.cached(addr) {
+                    Some(cache) => {
+                        for (l, (r, &at)) in reg.iter_mut().zip(&cache[start..]).enumerate() {
+                            if lanes.owns(l) {
+                                *r = buf[at];
+                            }
+                        }
+                    }
+                    None => {
+                        let idx = bindings.buffer(ids);
+                        for (l, r) in reg.iter_mut().enumerate() {
+                            if lanes.owns(l) {
+                                *r = buf[idx[start + l] as usize];
+                            }
+                        }
+                    }
+                },
+                Addr::Gid => {
+                    for (l, (r, &v)) in reg.iter_mut().zip(&buf[start..start + ws.lanes]).enumerate() {
+                        if lanes.owns(l) {
+                            *r = v;
+                        }
+                    }
                 }
-            } else {
-                let start = ws.start;
-                for (l, r) in reg.iter_mut().enumerate() {
-                    *r = bindings.gather(data, indices, start + l);
+                Addr::Neighbour { dx, dy, width } => {
+                    let grid = Grid::new(width, buf.len());
+                    let (mut x, mut y) = (start % grid.width, start / grid.width);
+                    for (l, r) in reg.iter_mut().enumerate() {
+                        if lanes.owns(l) {
+                            *r = buf[grid.neighbour(x, y, dx, dy)];
+                        }
+                        x += 1;
+                        if x == grid.width {
+                            x = 0;
+                            y += 1;
+                        }
+                    }
                 }
             }
         }
@@ -724,19 +756,19 @@ fn exec_alu(
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &mut Bindings,
-    mut journal: Option<&mut Vec<ScatterWrite>>,
+    lanes: &mut Lanes<'_>,
     scratch: &mut ExecScratch,
     idx: usize,
 ) {
     let step = compiled.alus[idx];
-    let lanes = ws.lanes;
+    let width = ws.lanes;
     let mut result = std::mem::take(&mut scratch.result);
     {
         let mut slices = [[].as_slice(); MAX_ARITY];
         for (k, cursor) in step.srcs[..step.arity as usize].iter().enumerate() {
             slices[k] = match cursor {
                 Cursor::Reg(r) => &ws.regs[*r as usize],
-                Cursor::Imm(i) => &launch.imm_lanes[*i as usize][..lanes],
+                Cursor::Imm(i) => &launch.imm_lanes[*i as usize][..width],
             };
         }
         let active: &[bool] = match ws.masks.last() {
@@ -744,17 +776,22 @@ fn exec_alu(
             None => {
                 // `scratch.active` only ever holds `true`, so a matching
                 // length means it is already the all-lanes mask.
-                if scratch.active.len() != lanes {
+                if scratch.active.len() != width {
                     scratch.active.clear();
-                    scratch.active.resize(lanes, true);
+                    scratch.active.resize(width, true);
                 }
                 &scratch.active
             }
         };
-        cu.issue_vector_into(step.op, &slices[..step.arity as usize], active, &mut result);
+        let srcs = &slices[..step.arity as usize];
+        match lanes {
+            Lanes::Whole(_) => cu.issue_vector_into(step.op, srcs, active, &mut result),
+            Lanes::Shard { sc_range, journal, .. } => {
+                cu.issue_vector_sharded(step.op, srcs, active, sc_range.clone(), &mut result, journal);
+            }
+        }
         // Masked write-back preserves the destination in inactive lanes
-        // (Evergreen predication), subsuming the closure kernels'
-        // host-side `v = live ? v_new : v` merges for free.
+        // (Evergreen predication).
         if let Some(m) = ws.masks.last() {
             let old = &ws.regs[step.dst as usize];
             for (l, r) in result.iter_mut().enumerate() {
@@ -767,322 +804,49 @@ fn exec_alu(
     std::mem::swap(&mut ws.regs[step.dst as usize], &mut result);
     scratch.result = result;
     for k in step.scatter_first..step.scatter_first + step.scatter_len {
-        exec_scatter(
-            compiled.scatters[k as usize],
-            launch,
-            ws,
-            bindings,
-            journal.as_deref_mut(),
-        );
+        exec_scatter(compiled.scatters[k as usize], launch, ws, bindings, lanes);
     }
 }
 
-/// Executes one scatter step. Respects the mask: only active lanes
-/// store (matching the closure kernels' host-side conditional writes).
+/// Executes one scatter step for the executed, active lanes, journaling
+/// each write where `lanes` asks for it.
 fn exec_scatter(
     step: ScatterStep,
     launch: &LaunchState,
     ws: &WaveState,
     bindings: &mut Bindings,
-    mut journal: Option<&mut Vec<ScatterWrite>>,
+    lanes: &mut Lanes<'_>,
 ) {
     let mask = ws.masks.last();
     let reg = &ws.regs[step.src as usize];
-    let cache = launch.index_cache.get(step.indices).and_then(Option::as_ref);
-    for l in 0..ws.lanes {
-        if mask.is_some_and(|m| !m[l]) {
+    let cache = launch.cached(step.addr);
+    for (l, &value) in reg.iter().enumerate() {
+        if mask.is_some_and(|m| !m[l]) || !lanes.owns(l) {
             continue;
         }
         let gid = ws.start + l;
         let index = match cache {
             Some(c) => c[gid],
-            None => bindings.scatter_index(step.indices, gid),
+            None => bindings.element(step.data, step.addr, gid),
         };
-        bindings.apply_write(step.data, index, reg[l]);
-        if let Some(j) = journal.as_deref_mut() {
-            j.push(ScatterWrite { data: step.data, index, value: reg[l] });
-        }
-    }
-}
-
-/// The shard-restricted twin of [`run_cu_compiled_queue`]: identical
-/// packet interleaving (so scatter ordinals align across shards), but
-/// each step touches only the shard's owned lanes, journaling issued
-/// events and scatters for the deterministic merge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cu_compiled_queue_sharded(
-    cu: &mut ComputeUnit,
-    compiled: &CompiledProgram,
-    launch: &LaunchState,
-    queue: &[Range<usize>],
-    bindings: &mut Bindings,
-    in_flight: usize,
-    sc_range: &Range<usize>,
-    num_scs: usize,
-    journal: &mut ShardJournal,
-    scatters: &mut Vec<ScatterRec>,
-) {
-    debug_assert!(
-        !compiled.source.has_cross_lane_ops(),
-        "cross-lane programs cannot be lane-sharded"
-    );
-    let mut scratch = ExecScratch::default();
-    let mut ordinal: u32 = 0;
-    let mut pending = queue.iter().cloned();
-    let mut active: Vec<WaveState> = pending
-        .by_ref()
-        .take(in_flight)
-        .map(|r| WaveState::new(r, compiled))
-        .collect();
-    while !active.is_empty() {
-        let mut i = 0;
-        while i < active.len() {
-            step_packet_sharded(
-                cu,
-                compiled,
-                launch,
-                &mut active[i],
-                bindings,
-                sc_range,
-                num_scs,
-                journal,
-                scatters,
-                &mut ordinal,
-                &mut scratch,
-            );
-            if active[i].pc >= compiled.packets.len() {
-                match pending.next() {
-                    Some(fresh) => active[i].reset(fresh, compiled),
-                    None => {
-                        active.remove(i);
-                        continue;
-                    }
-                }
+        bindings.apply_write(step.data, index, value);
+        match lanes {
+            Lanes::Whole(None) => {}
+            Lanes::Whole(Some(journal)) => {
+                journal.push(ScatterWrite { data: step.data, index, value });
             }
-            i += 1;
+            Lanes::Shard { scatters, ordinal, .. } => scatters.push(ScatterRec {
+                ordinal: *ordinal,
+                lane: l as u32,
+                data: step.data,
+                index,
+                value,
+            }),
         }
     }
-}
-
-/// Executes one packet for the shard's owned lanes only.
-#[allow(clippy::too_many_arguments)]
-fn step_packet_sharded(
-    cu: &mut ComputeUnit,
-    compiled: &CompiledProgram,
-    launch: &LaunchState,
-    ws: &mut WaveState,
-    bindings: &mut Bindings,
-    sc_range: &Range<usize>,
-    num_scs: usize,
-    journal: &mut ShardJournal,
-    scatters: &mut Vec<ScatterRec>,
-    ordinal: &mut u32,
-    scratch: &mut ExecScratch,
-) {
-    match compiled.packets[ws.pc] {
-        Packet::Free { first, len } => {
-            for k in first..first + len {
-                exec_free_sharded(
-                    compiled.frees[k as usize],
-                    launch,
-                    ws,
-                    bindings,
-                    sc_range,
-                    num_scs,
-                    scratch,
-                );
-            }
-        }
-        Packet::Alu { idx } => exec_alu_sharded(
-            cu, compiled, launch, ws, bindings, sc_range, num_scs, journal, scatters, ordinal,
-            scratch, idx as usize,
-        ),
-        Packet::ExpChain { idx } => {
-            exec_alu_sharded(
-                cu, compiled, launch, ws, bindings, sc_range, num_scs, journal, scatters, ordinal,
-                scratch, idx as usize,
-            );
-            exec_alu_sharded(
-                cu,
-                compiled,
-                launch,
-                ws,
-                bindings,
-                sc_range,
-                num_scs,
-                journal,
-                scatters,
-                ordinal,
-                scratch,
-                idx as usize + 1,
-            );
-        }
-        Packet::Scatters { first, len } => {
-            for k in first..first + len {
-                exec_scatter_sharded(
-                    compiled.scatters[k as usize],
-                    launch,
-                    ws,
-                    bindings,
-                    sc_range,
-                    num_scs,
-                    scatters,
-                    ordinal,
-                );
-            }
-        }
+    if let Lanes::Shard { ordinal, .. } = lanes {
+        *ordinal += 1;
     }
-    ws.pc += 1;
-}
-
-/// Executes one free step for a shard. Lane ids and masks fill every
-/// lane (they are pure functions of shard-visible state); gathers fill
-/// owned lanes only — non-owned registers stay 0.0 and feed nothing the
-/// shard executes.
-fn exec_free_sharded(
-    step: FreeStep,
-    launch: &LaunchState,
-    ws: &mut WaveState,
-    bindings: &Bindings,
-    sc_range: &Range<usize>,
-    num_scs: usize,
-    scratch: &mut ExecScratch,
-) {
-    match step {
-        FreeStep::Gather { dst, data, indices } => {
-            let start = ws.start;
-            let reg = &mut ws.regs[dst as usize];
-            if let Some(cache) = launch.index_cache.get(indices).and_then(Option::as_ref) {
-                let data = bindings.buffer(data);
-                for (l, r) in reg.iter_mut().enumerate() {
-                    if sc_range.contains(&(l % num_scs)) {
-                        *r = data[cache[start + l]];
-                    }
-                }
-            } else {
-                for (l, r) in reg.iter_mut().enumerate() {
-                    if sc_range.contains(&(l % num_scs)) {
-                        *r = bindings.gather(data, indices, start + l);
-                    }
-                }
-            }
-        }
-        FreeStep::LaneShift { .. } => {
-            unreachable!("cross-lane programs fall back before sharded execution")
-        }
-        other => exec_free(other, launch, ws, bindings, scratch),
-    }
-}
-
-/// Executes one ALU step for a shard: owned lanes issue through the
-/// shard's stream cores into the journal.
-#[allow(clippy::too_many_arguments)]
-fn exec_alu_sharded(
-    cu: &mut ComputeUnit,
-    compiled: &CompiledProgram,
-    launch: &LaunchState,
-    ws: &mut WaveState,
-    bindings: &mut Bindings,
-    sc_range: &Range<usize>,
-    num_scs: usize,
-    journal: &mut ShardJournal,
-    scatters: &mut Vec<ScatterRec>,
-    ordinal: &mut u32,
-    scratch: &mut ExecScratch,
-    idx: usize,
-) {
-    let step = compiled.alus[idx];
-    let lanes = ws.lanes;
-    let mut result = std::mem::take(&mut scratch.result);
-    {
-        let mut slices = [[].as_slice(); MAX_ARITY];
-        for (k, cursor) in step.srcs[..step.arity as usize].iter().enumerate() {
-            slices[k] = match cursor {
-                Cursor::Reg(r) => &ws.regs[*r as usize],
-                Cursor::Imm(i) => &launch.imm_lanes[*i as usize][..lanes],
-            };
-        }
-        let active: &[bool] = match ws.masks.last() {
-            Some(m) => m,
-            None => {
-                // Same length-guarded refill as the unsharded path above.
-                if scratch.active.len() != lanes {
-                    scratch.active.clear();
-                    scratch.active.resize(lanes, true);
-                }
-                &scratch.active
-            }
-        };
-        cu.issue_vector_sharded(
-            step.op,
-            &slices[..step.arity as usize],
-            active,
-            sc_range.clone(),
-            false,
-            &mut result,
-            journal,
-        );
-        if let Some(m) = ws.masks.last() {
-            let old = &ws.regs[step.dst as usize];
-            for (l, r) in result.iter_mut().enumerate() {
-                if !m[l] {
-                    *r = old[l];
-                }
-            }
-        }
-    }
-    std::mem::swap(&mut ws.regs[step.dst as usize], &mut result);
-    scratch.result = result;
-    for k in step.scatter_first..step.scatter_first + step.scatter_len {
-        exec_scatter_sharded(
-            compiled.scatters[k as usize],
-            launch,
-            ws,
-            bindings,
-            sc_range,
-            num_scs,
-            scatters,
-            ordinal,
-        );
-    }
-}
-
-/// Executes one scatter step for a shard's owned (and active) lanes.
-/// Every shard executes every scatter step, so the ordinal counter
-/// stays aligned across shards even when a shard owns no active lane.
-#[allow(clippy::too_many_arguments)]
-fn exec_scatter_sharded(
-    step: ScatterStep,
-    launch: &LaunchState,
-    ws: &WaveState,
-    bindings: &mut Bindings,
-    sc_range: &Range<usize>,
-    num_scs: usize,
-    scatters: &mut Vec<ScatterRec>,
-    ordinal: &mut u32,
-) {
-    let mask = ws.masks.last();
-    let reg = &ws.regs[step.src as usize];
-    let cache = launch.index_cache.get(step.indices).and_then(Option::as_ref);
-    for l in 0..ws.lanes {
-        if !sc_range.contains(&(l % num_scs)) || mask.is_some_and(|m| !m[l]) {
-            continue;
-        }
-        let gid = ws.start + l;
-        let index = match cache {
-            Some(c) => c[gid],
-            None => bindings.scatter_index(step.indices, gid),
-        };
-        bindings.apply_write(step.data, index, reg[l]);
-        scatters.push(ScatterRec {
-            ordinal: *ordinal,
-            lane: l as u32,
-            data: step.data,
-            index,
-            value: reg[l],
-        });
-    }
-    *ordinal += 1;
 }
 
 #[cfg(test)]
@@ -1103,7 +867,7 @@ mod tests {
         VProgram::new(
             3,
             vec![
-                VInst::Gather { dst: 0, data: 0, indices: 1 },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
                 VInst::Alu { op: FpOp::Sqrt, dst: 1, srcs: vec![Src::Reg(0)] },
                 VInst::Alu {
                     op: FpOp::Mul,
@@ -1115,7 +879,7 @@ mod tests {
                     dst: 2,
                     srcs: vec![Src::Reg(1), Src::Reg(0)],
                 },
-                VInst::Scatter { src: 2, data: 2, indices: 1 },
+                VInst::Scatter { src: 2, data: 2, addr: Addr::Indexed(1) },
             ],
         )
         .unwrap()
@@ -1123,12 +887,11 @@ mod tests {
 
     #[test]
     fn lowering_folds_frees_and_scatter_tails() {
-        let cp = CompiledProgram::compile(&simple_program(), &CompileOptions::default());
+        let cp = CompiledProgram::compile(&simple_program());
         // Free{gather}, Alu{sqrt}, Alu{mul}, Alu{add + scatter tail}.
         assert_eq!(cp.packet_count(), 4);
         assert_eq!(cp.alus[2].scatter_len, 1);
         assert_eq!(cp.exp_chains(), 0);
-        assert_eq!(cp.fused_muladds(), 0);
         assert!(cp.static_indices);
     }
 
@@ -1144,7 +907,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let cp = CompiledProgram::compile(&p, &CompileOptions::default());
+        let cp = CompiledProgram::compile(&p);
         assert_eq!(cp.imms, vec![3.0, -3.0]);
     }
 
@@ -1161,62 +924,23 @@ mod tests {
                     srcs: vec![Src::Reg(0), Src::Imm(std::f32::consts::LOG2_E)],
                 },
                 VInst::Alu { op: FpOp::Exp2, dst: 1, srcs: vec![Src::Reg(1)] },
-                VInst::Scatter { src: 1, data: 0, indices: 1 },
+                VInst::Scatter { src: 1, data: 0, addr: Addr::Gid },
             ],
         )
         .unwrap();
-        let cp = CompiledProgram::compile(&p, &CompileOptions::default());
+        let cp = CompiledProgram::compile(&p);
         assert_eq!(cp.exp_chains(), 1);
         // LaneId, ExpChain (two issues, with the exp's scatter tail).
         assert_eq!(cp.packet_count(), 2);
 
         let n = 64;
         let config = DeviceConfig::default();
-        let mut b = Bindings::new(vec![vec![0.0; n], (0..n).map(|i| i as f32).collect()]);
+        let mut b = Bindings::new(vec![vec![0.0; n]]);
         let schedule = Schedule::new(n, config.wavefront_size, 1);
         SequentialEngine::new().run_compiled(&mut cus(&config, 1), &cp, &mut b, &schedule, 1);
         for (i, &v) in b.buffer(0).iter().enumerate() {
             let expect = (i as f32 * std::f32::consts::LOG2_E).exp2();
             assert_eq!(v, expect, "lane {i}");
-        }
-    }
-
-    #[test]
-    fn muladd_rewrite_is_opt_in_and_counts() {
-        // t = a*b; d = t + c with t dead → one MULADD under the option.
-        let p = VProgram::new(
-            4,
-            vec![
-                VInst::LaneId { dst: 0 },
-                VInst::Alu { op: FpOp::Mul, dst: 1, srcs: vec![Src::Reg(0), Src::Imm(0.5)] },
-                VInst::Alu { op: FpOp::Add, dst: 2, srcs: vec![Src::Reg(1), Src::Imm(1.0)] },
-                VInst::Scatter { src: 2, data: 0, indices: 1 },
-            ],
-        )
-        .unwrap();
-        let plain = CompiledProgram::compile(&p, &CompileOptions::default());
-        assert_eq!(plain.fused_muladds(), 0);
-        let fused = CompiledProgram::compile(&p, &CompileOptions { fuse_muladd: true });
-        assert_eq!(fused.fused_muladds(), 1);
-
-        let n = 128;
-        let config = DeviceConfig::default();
-        let schedule = Schedule::new(n, config.wavefront_size, 1);
-        let mk = || Bindings::new(vec![vec![0.0; n], (0..n).map(|i| i as f32).collect()]);
-        let mut b_plain = mk();
-        let mut plain_cus = cus(&config, 1);
-        SequentialEngine::new().run_compiled(&mut plain_cus, &plain, &mut b_plain, &schedule, 1);
-        let mut b_fused = mk();
-        let mut fused_cus = cus(&config, 1);
-        SequentialEngine::new().run_compiled(&mut fused_cus, &fused, &mut b_fused, &schedule, 1);
-        // One instruction fewer issues per wavefront...
-        assert!(
-            fused_cus[0].cycles() < plain_cus[0].cycles(),
-            "MULADD rewrite should shorten the issue stream"
-        );
-        // ...and the fused numerics agree to FMA rounding.
-        for (a, b) in b_plain.buffer(0).iter().zip(b_fused.buffer(0)) {
-            assert!((a - b).abs() <= a.abs().max(1.0) * 1e-6);
         }
     }
 
@@ -1229,19 +953,19 @@ mod tests {
             4,
             vec![
                 VInst::LaneId { dst: 0 },
-                VInst::Gather { dst: 1, data: 0, indices: 1 },   // v
-                VInst::Gather { dst: 2, data: 2, indices: 1 },   // predicate
-                VInst::LaneShift { dst: 3, src: 1, offset: 1 },  // v_up
+                VInst::Gather { dst: 1, data: 0, addr: Addr::Indexed(1) }, // v
+                VInst::Gather { dst: 2, data: 2, addr: Addr::Gid },        // predicate
+                VInst::LaneShift { dst: 3, src: 1, offset: 1 },            // v_up
                 VInst::PushMask { mask: 2 },
                 VInst::Alu {
                     op: FpOp::MulAdd,
                     dst: 1,
                     srcs: vec![Src::Reg(3), Src::Imm(0.5), Src::Reg(1)],
                 },
-                VInst::Scatter { src: 1, data: 3, indices: 1 },
+                VInst::Scatter { src: 1, data: 3, addr: Addr::Indexed(1) },
                 VInst::PopMask,
                 VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Imm(1.0)] },
-                VInst::Scatter { src: 1, data: 4, indices: 1 },
+                VInst::Scatter { src: 1, data: 4, addr: Addr::Gid },
             ],
         )
         .unwrap()
@@ -1263,7 +987,7 @@ mod tests {
         let config = DeviceConfig::default();
         let mut b = masked_bindings(n);
         let schedule = Schedule::new(n, config.wavefront_size, 1);
-        let cp = CompiledProgram::compile(&masked_program(), &CompileOptions::default());
+        let cp = CompiledProgram::compile(&masked_program());
         SequentialEngine::new().run_compiled(&mut cus(&config, 1), &cp, &mut b, &schedule, 1);
         for i in 0..n {
             let v0 = (i % 13) as f32;
@@ -1284,7 +1008,7 @@ mod tests {
         // small-kernel sequential fallback (10 insts × 64k lanes).
         let n = 1 << 16;
         let config = DeviceConfig::default();
-        let cp = CompiledProgram::compile(&masked_program(), &CompileOptions::default());
+        let cp = CompiledProgram::compile(&masked_program());
         assert!(!cp.prefers_sequential(n));
         let schedule = Schedule::new(n, config.wavefront_size, 2);
 
@@ -1316,24 +1040,25 @@ mod tests {
 
     #[test]
     fn masked_program_shards_bit_identically_without_lane_shift() {
-        // Same shape minus the LaneShift: IntraCu takes the true
-        // sharded path and must still match sequentially.
+        // Same shape minus the LaneShift, plus a neighbour gather: IntraCu
+        // takes the true sharded path and must still match sequentially.
         let p = VProgram::new(
             3,
             vec![
-                VInst::Gather { dst: 0, data: 0, indices: 1 },
-                VInst::Gather { dst: 2, data: 2, indices: 1 },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
+                VInst::Gather { dst: 1, data: 0, addr: Addr::Neighbour { dx: 1, dy: -1, width: 256 } },
+                VInst::Gather { dst: 2, data: 2, addr: Addr::Indexed(1) },
                 VInst::PushMask { mask: 2 },
                 VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Reg(0)] },
-                VInst::Scatter { src: 0, data: 3, indices: 1 },
+                VInst::Scatter { src: 0, data: 3, addr: Addr::Indexed(1) },
                 VInst::PopMask,
-                VInst::Alu { op: FpOp::Add, dst: 0, srcs: vec![Src::Reg(0), Src::Imm(1.0)] },
-                VInst::Scatter { src: 0, data: 4, indices: 1 },
+                VInst::Alu { op: FpOp::Add, dst: 0, srcs: vec![Src::Reg(0), Src::Reg(1)] },
+                VInst::Scatter { src: 0, data: 4, addr: Addr::Indexed(1) },
             ],
         )
         .unwrap();
         let n = 1 << 16;
-        let cp = CompiledProgram::compile(&p, &CompileOptions::default());
+        let cp = CompiledProgram::compile(&p);
         assert!(!cp.prefers_sequential(n));
         let config = DeviceConfig::default();
         let schedule = Schedule::new(n, config.wavefront_size, 1);
@@ -1351,11 +1076,78 @@ mod tests {
         assert_eq!(seq_cus[0].ledger().total_pj(), icu_cus[0].ledger().total_pj());
     }
 
+    /// A loop body with a wavefront-varying operand, an immediate and a
+    /// masked step, unrolled `count` times or expressed as a loop.
+    fn looped_program(count: u32, unrolled: bool) -> VProgram {
+        let body = || {
+            vec![
+                VInst::Alu { op: FpOp::Mul, dst: 1, srcs: vec![Src::Reg(1), Src::Imm(0.75)] },
+                VInst::PushMask { mask: 2 },
+                VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Reg(0)] },
+                VInst::PopMask,
+                VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Reg(1)] },
+            ]
+        };
+        let mut insts = vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Gather { dst: 1, data: 0, addr: Addr::Gid },
+            VInst::Gather { dst: 2, data: 1, addr: Addr::Gid },
+        ];
+        if unrolled {
+            for _ in 0..count {
+                insts.extend(body());
+            }
+        } else {
+            insts.push(VInst::Loop { count });
+            insts.extend(body());
+            insts.push(VInst::EndLoop);
+        }
+        insts.push(VInst::Scatter { src: 0, data: 2, addr: Addr::Gid });
+        VProgram::new(3, insts).unwrap()
+    }
+
     #[test]
-    fn small_kernel_heuristic_thresholds_on_lane_ops() {
-        let cp = CompiledProgram::compile(&simple_program(), &CompileOptions::default());
+    fn loops_issue_exactly_the_unrolled_stream() {
+        let n = 64 * 12;
+        let config = DeviceConfig::builder()
+            .with_error_mode(crate::ErrorMode::FixedRate(0.05))
+            .build()
+            .unwrap();
+        let schedule = Schedule::new(n, config.wavefront_size, 2);
+        let bindings = || {
+            Bindings::new(vec![
+                (0..n).map(|i| (i % 5) as f32).collect(),
+                (0..n).map(|i| f32::from(i % 4 != 0)).collect(),
+                vec![0.0; n],
+            ])
+        };
+        let looped = CompiledProgram::compile(&looped_program(7, false));
+        let unrolled = CompiledProgram::compile(&looped_program(7, true));
+        assert!(looped.packet_count() < unrolled.packet_count());
+        for in_flight in [1, 3] {
+            let (mut a_cus, mut b_cus) = (cus(&config, 2), cus(&config, 2));
+            let (mut a, mut b) = (bindings(), bindings());
+            SequentialEngine::new().run_compiled(&mut a_cus, &looped, &mut a, &schedule, in_flight);
+            SequentialEngine::new().run_compiled(&mut b_cus, &unrolled, &mut b, &schedule, in_flight);
+            assert_eq!(a, b, "in_flight {in_flight}");
+            for (x, y) in a_cus.iter().zip(&b_cus) {
+                assert_eq!(x.cycles(), y.cycles());
+                assert_eq!(x.ledger().total_pj(), y.ledger().total_pj());
+                assert_eq!(x.errors_injected(), y.errors_injected());
+                assert_eq!(x.op_stats(FpOp::Add), y.op_stats(FpOp::Add));
+            }
+        }
+    }
+
+    #[test]
+    fn small_kernel_heuristic_thresholds_on_dynamic_lane_ops() {
+        let cp = CompiledProgram::compile(&simple_program());
         assert!(cp.prefers_sequential(1024)); // 5 × 1024 « 2^18
         assert!(!cp.prefers_sequential(1 << 17)); // 5 × 131072 ≥ 2^18
+        // A loop counts once per iteration: 4 + 7 × 5 instructions.
+        let looped = CompiledProgram::compile(&looped_program(7, false));
+        assert_eq!(looped.source().dynamic_len(), 4 + 7 * 5);
+        assert!(!looped.prefers_sequential(8192));
     }
 
     #[test]
@@ -1367,10 +1159,10 @@ mod tests {
         let p = VProgram::new(
             2,
             vec![
-                VInst::Gather { dst: 0, data: 0, indices: 1 },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
                 VInst::Alu { op: FpOp::Mul, dst: 1, srcs: vec![Src::Reg(0), Src::Imm(0.0)] },
                 VInst::PushMask { mask: 1 },
-                VInst::Scatter { src: 0, data: 0, indices: 2 },
+                VInst::Scatter { src: 0, data: 0, addr: Addr::Indexed(1) },
                 VInst::PopMask,
             ],
         )
@@ -1378,12 +1170,11 @@ mod tests {
         let n = 64;
         let mut b = Bindings::new(vec![
             vec![1.0; n],
-            (0..n).map(|i| i as f32).collect(),
             vec![0.0; 1], // short: would panic if eagerly cached
         ]);
         let config = DeviceConfig::default();
         let schedule = Schedule::new(n, config.wavefront_size, 1);
-        let cp = CompiledProgram::compile(&p, &CompileOptions::default());
+        let cp = CompiledProgram::compile(&p);
         SequentialEngine::new().run_compiled(&mut cus(&config, 1), &cp, &mut b, &schedule, 1);
         assert_eq!(b.buffer(0), vec![1.0; n].as_slice());
     }

@@ -444,20 +444,12 @@ impl ComputeUnit {
     /// in `sc_range` — the intra-CU shard execute stage.
     ///
     /// Only lanes owned by the range (`lane % num_scs ∈ sc_range`) go
-    /// through the memoization/injection/event machinery. With
-    /// `fill_non_owned`, non-owned active lanes are filled with the pure
-    /// functional result, which in the architectures the kernel path
-    /// supports (non-spatial, exact matching) *is* the committed result
-    /// of every lane — exact-match hits return bit-identical stored
-    /// values and recovery replays to the correct value — so kernel host
-    /// code that reads across lanes (reductions, neighbour accesses)
-    /// still observes the same `VReg` contents on every shard. Without
-    /// it (the program path, whose lanewise IR provably never reads
-    /// non-owned lanes) they stay `0.0`. Nothing reaches this unit's
-    /// sinks, ECU tallies or authoritative cycle counter; instead each
-    /// owned lane's event is appended to `journal` in lane order and an
-    /// instruction boundary is recorded, for the intra-CU engine's
-    /// ordered merge. Shard-local cycles still advance (by slots plus
+    /// through the memoization/injection/event machinery; non-owned
+    /// lanes read `0.0` (a program's lanewise instructions never read
+    /// them). Nothing reaches this unit's sinks, ECU tallies or
+    /// authoritative cycle counter; instead each owned lane's event is
+    /// appended to `journal` in lane order and an instruction boundary
+    /// is recorded, for the intra-CU engine's ordered merge. Shard-local cycles still advance (by slots plus
     /// the *shard-local* stall) so FPU pipeline occupancy stays
     /// plausible, but the merge recomputes the authoritative timing.
     ///
@@ -472,7 +464,6 @@ impl ComputeUnit {
         srcs: &[&[f32]],
         active: &[bool],
         sc_range: Range<usize>,
-        fill_non_owned: bool,
         out: &mut Vec<f32>,
         journal: &mut ShardJournal,
     ) {
@@ -506,23 +497,13 @@ impl ComputeUnit {
             &mut cursors,
         );
         // Owned events in lane order (same cursor merge as the full walk,
-        // restricted to the shard's runs); non-owned active lanes get the
-        // functional result without touching their owning shard's state.
+        // restricted to the shard's runs).
         for lane in 0..lanes {
             let sc = lane % num_scs;
-            if !active[lane] {
-                continue;
-            }
-            if sc_range.contains(&sc) {
+            if active[lane] && sc_range.contains(&sc) {
                 let cursor = &mut cursors[sc - sc_range.start];
                 journal.events.push(events[*cursor]);
                 *cursor += 1;
-            } else if fill_non_owned {
-                let mut vals = [0.0f32; tm_fpu::MAX_ARITY];
-                for (k, s) in srcs.iter().enumerate() {
-                    vals[k] = s[lane];
-                }
-                out[lane] = tm_fpu::compute(op, Operands::from_slice(&vals[..op.arity()]));
             }
         }
         self.cycles += self.config.subwavefront_slots() as u64 + stall;

@@ -1,11 +1,10 @@
 //! The top-level device: dispatch and reporting.
 
-use crate::compiled::{CompileOptions, CompiledProgram};
+use crate::compiled::CompiledProgram;
 use crate::compute_unit::ComputeUnit;
 use crate::config::{DeviceConfig, ExecBackend};
-use crate::engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine, ShardKernel};
+use crate::engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
 use crate::intra_cu::IntraCuEngine;
-use crate::kernel::Kernel;
 use crate::locality::LocalitySummary;
 use crate::obs::DeviceObs;
 use crate::program::{Bindings, VProgram};
@@ -274,7 +273,7 @@ impl Device {
     }
 
     /// The schedule the device's geometry induces for `global_size`
-    /// work-items — the scheduling layer both engines share.
+    /// work-items — the scheduling layer every engine shares.
     fn schedule(&self, global_size: usize) -> Schedule {
         Schedule::new(
             global_size,
@@ -283,74 +282,25 @@ impl Device {
         )
     }
 
-    /// Runs `kernel` over an ND-range of `global_size` work-items on the
-    /// **sequential reference engine** (any kernel, sized or not).
+    /// Runs a [`VProgram`] over an ND-range of `global_size` work-items
+    /// with `in_flight` wavefronts interleaved per compute unit, through
+    /// the configured [`ExecBackend`].
     ///
     /// The range is split into wavefronts of `wavefront_size` work-items
     /// (the trailing wavefront may be partial); wavefront *w* executes on
     /// compute unit *(w mod CUs)*, mirroring the ultra-threaded
-    /// dispatcher's round-robin. Kernels that also implement
-    /// [`ShardKernel`] can go through [`Device::dispatch`] instead, which
-    /// honours the configured [`ExecBackend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global_size` is zero.
-    pub fn run<K: Kernel + ?Sized>(&mut self, kernel: &mut K, global_size: usize) {
-        let schedule = self.schedule(global_size);
-        let name = kernel.name();
-        let mark = self.mark_launch();
-        self.wavefronts_dispatched += SequentialEngine::with_obs(self.obs.clone())
-            .run_any_kernel(&mut self.compute_units, kernel, &schedule);
-        self.record_launch(mark, name, ExecBackend::Sequential.name(), &schedule);
-    }
-
-    /// Runs a [`ShardKernel`] over an ND-range through the configured
-    /// [`ExecBackend`] — the sequential reference engine by default, or
-    /// one worker thread per compute unit under
-    /// [`ExecBackend::Parallel`]. Both produce bit-identical reports;
-    /// see [`crate::engine`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global_size` is zero.
-    pub fn dispatch<K: ShardKernel>(&mut self, kernel: &mut K, global_size: usize) {
-        let schedule = self.schedule(global_size);
-        let name = kernel.name();
-        let mark = self.mark_launch();
-        self.wavefronts_dispatched += match self.config.backend {
-            ExecBackend::Sequential => SequentialEngine::with_obs(self.obs.clone()).run_kernel(
-                &mut self.compute_units,
-                kernel,
-                &schedule,
-            ),
-            ExecBackend::Parallel => ParallelEngine::with_obs(self.obs.clone()).run_kernel(
-                &mut self.compute_units,
-                kernel,
-                &schedule,
-            ),
-            ExecBackend::IntraCu => {
-                self.intra_cu_engine()
-                    .run_kernel(&mut self.compute_units, kernel, &schedule)
-            }
-        };
-        self.record_launch(mark, name, self.config.backend.name(), &schedule);
-    }
-
-    /// Runs a [`VProgram`] over an ND-range with `in_flight` wavefronts
-    /// interleaved per compute unit.
-    ///
-    /// With `in_flight = 1` this matches [`Device::run`]'s
-    /// wavefront-at-a-time order. Larger values model the hardware's
+    /// dispatcher's round-robin. With `in_flight = 1` each CU runs its
+    /// wavefronts one at a time. Larger values model the hardware's
     /// wavefront interleaving: the scheduler round-robins one vector
     /// instruction from each resident wavefront, so consecutive operands
     /// on an FPU come from *different* wavefronts — the stress case for
     /// the 2-entry FIFO's temporal locality.
     ///
-    /// Both engines honour the wavefront→CU schedule and per-CU order, so
-    /// the backend choice never changes results or statistics; programs
-    /// with a gather-after-scatter hazard silently fall back to the
-    /// sequential engine (see [`crate::engine`]).
+    /// Every engine honours the wavefront→CU schedule and per-CU order,
+    /// so the backend choice never changes results or statistics;
+    /// programs with a gather-after-scatter hazard silently fall back to
+    /// the sequential engine (see [`crate::engine`]). The launch's spans
+    /// and telemetry series are named after [`VProgram::name`].
     ///
     /// # Panics
     ///
@@ -364,7 +314,7 @@ impl Device {
         in_flight: usize,
     ) {
         let compile_start = self.obs.as_ref().map(DeviceObs::now_us);
-        let compiled = CompiledProgram::compile(program, &CompileOptions::default());
+        let compiled = CompiledProgram::compile(program);
         if let (Some(obs), Some(start)) = (&self.obs, compile_start) {
             obs.wall_span(
                 "program:compile".to_string(),
@@ -427,7 +377,7 @@ impl Device {
                 in_flight,
             ),
         };
-        self.record_launch(mark, "program", self.config.backend.name(), &schedule);
+        self.record_launch(mark, compiled.name(), self.config.backend.name(), &schedule);
     }
 
     /// Aggregated memoization statistics for `op` across the device.
@@ -539,34 +489,42 @@ impl Device {
 mod tests {
     use super::*;
     use crate::config::{ArchMode, ErrorMode};
-    use crate::wave::{VReg, WaveCtx};
+    use crate::program::{Addr, Src, VInst};
     use tm_fpu::FpOp;
 
-    struct AddOne {
-        out: Vec<f32>,
+    /// `out[gid] = gid + 1`.
+    fn add_one() -> VProgram {
+        VProgram::new(
+            2,
+            vec![
+                VInst::LaneId { dst: 0 },
+                VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(0), Src::Imm(1.0)] },
+                VInst::Scatter { src: 1, data: 0, addr: Addr::Gid },
+            ],
+        )
+        .unwrap()
+        .with_name("add_one")
     }
 
-    impl Kernel for AddOne {
-        fn name(&self) -> &'static str {
-            "add_one"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = ctx.iota();
-            let one = ctx.splat(1.0);
-            let y = ctx.add(&x, &one);
-            for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-                self.out[gid] = y[l];
-            }
-        }
+    /// `sqrt(2.0)` in every lane: constant operands.
+    fn const_sqrt() -> VProgram {
+        VProgram::new(1, vec![VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Imm(2.0)] }])
+            .unwrap()
+    }
+
+    /// Runs `program` over `n` work-items with one `n`-element buffer.
+    fn run(device: &mut Device, program: &VProgram, n: usize) -> Vec<f32> {
+        let mut bindings = Bindings::new(vec![vec![0.0; n]]);
+        device.run_program(program, &mut bindings, n, 1);
+        std::mem::take(bindings.buffer_mut(0))
     }
 
     #[test]
     fn run_covers_full_ndrange_including_partial_wavefront() {
         let mut device = Device::new(DeviceConfig::default());
         let n = 100; // 64 + a partial wavefront of 36
-        let mut k = AddOne { out: vec![0.0; n] };
-        device.run(&mut k, n);
-        for (i, v) in k.out.iter().enumerate() {
+        let out = run(&mut device, &add_one(), n);
+        for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32 + 1.0);
         }
         assert_eq!(device.wavefronts_dispatched(), 2);
@@ -575,10 +533,7 @@ mod tests {
     #[test]
     fn wavefronts_round_robin_across_cus() {
         let mut device = Device::new(DeviceConfig::builder().with_compute_units(2).build().unwrap());
-        let mut k = AddOne {
-            out: vec![0.0; 256],
-        };
-        device.run(&mut k, 256);
+        let _ = run(&mut device, &add_one(), 256);
         for cu in device.compute_units() {
             assert!(cu.cycles() > 0, "both CUs should have executed work");
         }
@@ -587,8 +542,7 @@ mod tests {
     #[test]
     fn report_lists_only_activated_ops() {
         let mut device = Device::new(DeviceConfig::default());
-        let mut k = AddOne { out: vec![0.0; 64] };
-        device.run(&mut k, 64);
+        let _ = run(&mut device, &add_one(), 64);
         let report = device.report();
         assert_eq!(report.per_op.len(), 1);
         assert_eq!(report.per_op[0].op, FpOp::Add);
@@ -596,22 +550,11 @@ mod tests {
         assert!(report.energy.total_pj() > 0.0);
     }
 
-    struct ConstSqrt;
-    impl Kernel for ConstSqrt {
-        fn name(&self) -> &'static str {
-            "const_sqrt"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = VReg::splat(ctx.lanes(), 2.0);
-            let _ = ctx.sqrt(&x);
-        }
-    }
-
     #[test]
     fn memoized_beats_baseline_on_redundant_work() {
         let run = |arch: ArchMode| {
             let mut device = Device::new(DeviceConfig::builder().with_arch(arch).build().unwrap());
-            device.run(&mut ConstSqrt, 4096);
+            let _ = run(&mut device, &const_sqrt(), 4096);
             device.report().energy.total_pj()
         };
         let memo = run(ArchMode::Memoized);
@@ -626,7 +569,7 @@ mod tests {
     fn error_injection_shows_up_in_report() {
         let config = DeviceConfig::builder().with_error_mode(ErrorMode::FixedRate(0.5)).build().unwrap();
         let mut device = Device::new(config);
-        device.run(&mut ConstSqrt, 1024);
+        let _ = run(&mut device, &const_sqrt(), 1024);
         let report = device.report();
         assert!(report.errors_injected > 0);
         let sqrt = &report.per_op[0];
@@ -645,7 +588,7 @@ mod tests {
     #[should_panic(expected = "empty ND-range")]
     fn zero_size_dispatch_panics() {
         let mut device = Device::new(DeviceConfig::default());
-        device.run(&mut ConstSqrt, 0);
+        let _ = run(&mut device, &const_sqrt(), 0);
     }
 
     #[test]
@@ -654,7 +597,7 @@ mod tests {
             .with_compute_units(1)
             .with_trace_depth(100_000).build().unwrap();
         let mut device = Device::new(config);
-        device.run(&mut ConstSqrt, 1024);
+        let _ = run(&mut device, &const_sqrt(), 1024);
         let events: Vec<_> = device.trace_events().copied().collect();
         assert_eq!(events.len(), 1024);
         // Constant operands ⇒ zero entropy and near-perfect predicted
@@ -673,14 +616,14 @@ mod tests {
     #[test]
     fn tracing_disabled_by_default() {
         let mut device = Device::new(DeviceConfig::default());
-        device.run(&mut ConstSqrt, 64);
+        let _ = run(&mut device, &const_sqrt(), 64);
         assert_eq!(device.trace_events().count(), 0);
     }
 
     #[test]
     fn reset_stats_keeps_fifo_contents() {
         let mut device = Device::new(DeviceConfig::default());
-        device.run(&mut ConstSqrt, 256);
+        let _ = run(&mut device, &const_sqrt(), 256);
         assert!(device.report().total_instructions() > 0);
         device.reset_stats();
         let cleared = device.report();
@@ -688,7 +631,7 @@ mod tests {
         assert_eq!(cleared.total_energy_pj(), 0.0);
         assert_eq!(cleared.wavefronts, 0);
         // FIFOs survived: the very first wavefront after the reset hits.
-        device.run(&mut ConstSqrt, 64);
+        let _ = run(&mut device, &const_sqrt(), 64);
         let warm = device.report();
         assert_eq!(
             warm.weighted_hit_rate(),
@@ -699,25 +642,23 @@ mod tests {
 
     #[test]
     fn per_stage_error_mode_hits_deep_pipelines_harder() {
-        struct RecipAndAdd;
-        impl Kernel for RecipAndAdd {
-            fn name(&self) -> &'static str {
-                "recip_and_add"
-            }
-            fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-                let x = ctx.iota();
-                let _ = ctx.recip(&x); // 16 stages
-                let _ = ctx.add(&x, &x); // 4 stages
-            }
-        }
-        // Memoized mode records per-op error statistics; iota operands
+        let recip_and_add = VProgram::new(
+            2,
+            vec![
+                VInst::LaneId { dst: 0 },
+                VInst::Alu { op: FpOp::Recip, dst: 1, srcs: vec![Src::Reg(0)] }, // 16 stages
+                VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(0), Src::Reg(0)] }, // 4 stages
+            ],
+        )
+        .unwrap();
+        // Memoized mode records per-op error statistics; lane-id operands
         // are unique per work-item, so every access is a (recorded) miss.
         let config = DeviceConfig::builder()
             .with_error_mode(ErrorMode::PerStageRate(0.01))
             .with_compute_units(1)
             .with_seed(4).build().unwrap();
         let mut device = Device::new(config);
-        device.run(&mut RecipAndAdd, 16384);
+        let _ = run(&mut device, &recip_and_add, 16384);
         let report = device.report();
         let recip = report.op(FpOp::Recip).unwrap();
         let add = report.op(FpOp::Add).unwrap();
@@ -735,7 +676,7 @@ mod tests {
         // Constant operands: in every 16-lane slot, one lane executes and
         // 15 reuse — spatial hit rate of exactly 15/16.
         let mut device = Device::new(DeviceConfig::builder().with_arch(ArchMode::Spatial).build().unwrap());
-        device.run(&mut ConstSqrt, 1024);
+        let _ = run(&mut device, &const_sqrt(), 1024);
         let report = device.report();
         assert_eq!(report.spatial_hits, 1024 / 16 * 15);
         assert!((report.spatial_hit_rate() - 15.0 / 16.0).abs() < 1e-12);
@@ -749,7 +690,7 @@ mod tests {
             .with_arch(ArchMode::Spatial)
             .with_error_mode(ErrorMode::FixedRate(0.5)).build().unwrap();
         let mut device = Device::new(config);
-        device.run(&mut ConstSqrt, 1024);
+        let _ = run(&mut device, &const_sqrt(), 1024);
         let report = device.report();
         assert!(report.spatial_masked_errors > 0);
         // Errors on executing lanes still go to the ECU; reused lanes are free.
@@ -763,37 +704,33 @@ mod tests {
     fn spatial_mode_is_correct_on_varied_inputs() {
         let mut memo_dev = Device::new(DeviceConfig::default());
         let mut spatial_dev = Device::new(DeviceConfig::builder().with_arch(ArchMode::Spatial).build().unwrap());
-        let mut a = AddOne { out: vec![0.0; 200] };
-        let mut b = AddOne { out: vec![0.0; 200] };
-        memo_dev.run(&mut a, 200);
-        spatial_dev.run(&mut b, 200);
-        assert_eq!(a.out, b.out);
+        let a = run(&mut memo_dev, &add_one(), 200);
+        let b = run(&mut spatial_dev, &add_one(), 200);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn temporal_beats_spatial_on_temporal_locality() {
         // Values recur over time (across wavefronts) but are distinct
         // within each slot — the workload shape the paper argues for.
-        struct TimeLocal;
-        impl Kernel for TimeLocal {
-            fn name(&self) -> &'static str {
-                "time_local"
-            }
-            fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-                // lane value = sc index (distinct within a slot), same for
-                // every slot... so make it distinct per lane within slot
-                // but identical across wavefronts.
-                let x = VReg::from_fn(ctx.lanes(), |l| (l % 16) as f32 * 1.25 + 1.0);
-                let _ = ctx.sqrt(&x);
-            }
-        }
+        let time_local = VProgram::new(
+            1,
+            vec![
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+                VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Reg(0)] },
+            ],
+        )
+        .unwrap();
         let run = |arch: ArchMode| {
             let mut device = Device::new(
                 DeviceConfig::builder()
                     .with_arch(arch)
                     .with_compute_units(1).build().unwrap(),
             );
-            device.run(&mut TimeLocal, 4096);
+            let n = 4096;
+            let mut bindings =
+                Bindings::new(vec![(0..n).map(|g| (g % 16) as f32 * 1.25 + 1.0).collect()]);
+            device.run_program(&time_local, &mut bindings, n, 1);
             device.report()
         };
         let temporal = run(ArchMode::Memoized);
@@ -801,5 +738,21 @@ mod tests {
         assert!(temporal.weighted_hit_rate() > 0.9);
         assert!(spatial.spatial_hit_rate() < 0.1);
         assert!(temporal.total_energy_pj() < spatial.total_energy_pj());
+    }
+
+    #[test]
+    fn launches_are_named_after_their_program() {
+        let rec = SharedRecorder::new();
+        let hub = TelemetryHub::new();
+        let mut device = Device::new(DeviceConfig::default());
+        device.attach_recorder(&rec);
+        let scope = device.attach_hub(&hub);
+        let _ = run(&mut device, &add_one(), 64);
+        let _ = run(&mut device, &const_sqrt(), 64);
+        let names: Vec<String> = rec.with(|r| r.spans().iter().map(|s| s.name.clone()).collect());
+        assert!(names.iter().any(|n| n == "launch:add_one"), "{names:?}");
+        assert!(names.iter().any(|n| n == "launch:program"), "{names:?}");
+        assert!(names.iter().any(|n| n == "wf:0..64"), "{names:?}");
+        assert_eq!(hub.snapshot().iter().filter(|(k, _)| k.starts_with(&format!("{scope}launch_us."))).count(), 2);
     }
 }

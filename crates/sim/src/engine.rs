@@ -19,19 +19,15 @@
 //!   order, so the [`crate::DeviceReport`] is **bit-identical** across
 //!   backends (floating-point sums included).
 //!
-//! Kernel-side state is forked/joined through [`ShardKernel`]; program
-//! ([`VProgram`]) runs journal their scatters and replay them in CU
-//! index order, falling back to the sequential engine when a program
-//! gathers from a scattered buffer (a cross-wavefront data hazard).
+//! Workers run against snapshots of the bindings, journal their
+//! scatters and replay them in CU index order, falling back to the
+//! sequential engine when a program gathers from a scattered buffer (a
+//! cross-wavefront data hazard).
 
-use crate::compiled::{
-    run_cu_compiled_queue, CompileOptions, CompiledProgram, LaunchState, ScatterWrite,
-};
+use crate::compiled::{run_cu_queue, CompiledProgram, Lanes, LaunchState, ScatterWrite, WaveTrace};
 use crate::compute_unit::ComputeUnit;
-use crate::kernel::Kernel;
 use crate::obs::DeviceObs;
 use crate::program::{Bindings, BufferId, VInst, VProgram};
-use crate::wave::WaveCtx;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use tm_obs::ArgValue;
@@ -135,16 +131,6 @@ impl Schedule {
         self.assignments.last().map_or(0, |a| a.lane_range.end)
     }
 
-    /// The global work-item ids assigned to one CU, in execution order.
-    #[must_use]
-    pub fn cu_lane_ids(&self, cu: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .filter(|a| a.cu == cu)
-            .flat_map(|a| a.lane_range.clone())
-            .collect()
-    }
-
     /// The widest wavefront in the schedule (all but the trailing
     /// partial are `wavefront_size` wide) — sizes per-launch splats.
     #[must_use]
@@ -157,45 +143,15 @@ impl Schedule {
     }
 }
 
-/// A kernel whose per-run state can be sharded across compute units.
-///
-/// The parallel engine gives each CU worker a [`ShardKernel::fork`] of
-/// the kernel; after the workers finish, shards are folded back with
-/// [`ShardKernel::join`] in CU index order, which keeps output buffers
-/// identical to a sequential run (each work-item's result is written by
-/// exactly one shard — the one that executed its wavefront).
-pub trait ShardKernel: Kernel + Send {
-    /// A fresh shard able to execute any subset of the run's wavefronts.
-    /// Shards share the kernel's *inputs* (cloned or recomputed) but must
-    /// not alias its mutable outputs.
-    fn fork(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Folds `shard`'s results back into `self`. `gids` are the global
-    /// work-item ids the shard executed — the only outputs it owns.
-    fn join(&mut self, shard: Self, gids: &[usize])
-    where
-        Self: Sized;
-}
-
 /// The execution layer: how a schedule's assignments are carried out.
 pub trait ExecEngine {
-    /// Runs `kernel` over `schedule`, returning wavefronts dispatched.
-    fn run_kernel<K: ShardKernel>(
-        &self,
-        cus: &mut [ComputeUnit],
-        kernel: &mut K,
-        schedule: &Schedule,
-    ) -> u64;
-
     /// Runs `program` over `schedule` with `in_flight` wavefronts
     /// interleaved per CU, returning wavefronts dispatched.
     ///
-    /// Provided: lowers the program with default [`CompileOptions`] and
-    /// delegates to [`ExecEngine::run_compiled`]. Callers that launch
-    /// the same program repeatedly (stage loops, campaigns) should
-    /// compile once and call `run_compiled` directly.
+    /// Provided: lowers the program and delegates to
+    /// [`ExecEngine::run_compiled`]. Callers that launch the same
+    /// program repeatedly (stage loops, campaigns) should compile once
+    /// and call `run_compiled` directly.
     fn run_program(
         &self,
         cus: &mut [ComputeUnit],
@@ -204,7 +160,7 @@ pub trait ExecEngine {
         schedule: &Schedule,
         in_flight: usize,
     ) -> u64 {
-        let compiled = CompiledProgram::compile(program, &CompileOptions::default());
+        let compiled = CompiledProgram::compile(program);
         self.run_compiled(cus, &compiled, bindings, schedule, in_flight)
     }
 
@@ -239,51 +195,9 @@ impl SequentialEngine {
     pub const fn with_obs(obs: Option<DeviceObs>) -> Self {
         Self { obs }
     }
-
-    /// Runs any [`Kernel`] (including unsized/`dyn` kernels, which
-    /// cannot be sharded) over the schedule on the calling thread.
-    pub fn run_any_kernel<K: Kernel + ?Sized>(
-        &self,
-        cus: &mut [ComputeUnit],
-        kernel: &mut K,
-        schedule: &Schedule,
-    ) -> u64 {
-        for a in schedule.assignments() {
-            let cu = &mut cus[a.cu];
-            let start_cycle = cu.cycles();
-            let mut ctx = WaveCtx::new(cu, a.lane_range.clone().collect());
-            kernel.execute(&mut ctx);
-            if let Some(obs) = &self.obs {
-                obs.cycle_span(
-                    wavefront_span_name(&a.lane_range),
-                    "wavefront",
-                    a.cu as u64,
-                    start_cycle,
-                    cus[a.cu].cycles(),
-                    Vec::new(),
-                );
-            }
-        }
-        schedule.wavefronts() as u64
-    }
-}
-
-/// The cycle-span name for one wavefront's lane range — shared by every
-/// backend so traces are comparable across engines.
-fn wavefront_span_name(range: &Range<usize>) -> String {
-    format!("wf:{}..{}", range.start, range.end)
 }
 
 impl ExecEngine for SequentialEngine {
-    fn run_kernel<K: ShardKernel>(
-        &self,
-        cus: &mut [ComputeUnit],
-        kernel: &mut K,
-        schedule: &Schedule,
-    ) -> u64 {
-        self.run_any_kernel(cus, kernel, schedule)
-    }
-
     fn run_compiled(
         &self,
         cus: &mut [ComputeUnit],
@@ -299,15 +213,16 @@ impl ExecEngine for SequentialEngine {
             schedule.max_wavefront_lanes(),
             schedule.global_size(),
         );
-        for (cu_idx, queue) in schedule.queues().into_iter().enumerate() {
-            run_cu_compiled_queue(
+        for (cu_idx, queue) in schedule.queues().iter().enumerate() {
+            run_cu_queue(
                 &mut cus[cu_idx],
                 compiled,
                 &launch,
                 queue,
                 bindings,
                 in_flight,
-                None,
+                &mut Lanes::Whole(None),
+                WaveTrace::new(self.obs.as_ref(), cu_idx, schedule.num_cus()),
             );
         }
         schedule.wavefronts() as u64
@@ -336,64 +251,6 @@ impl ParallelEngine {
 }
 
 impl ExecEngine for ParallelEngine {
-    fn run_kernel<K: ShardKernel>(
-        &self,
-        cus: &mut [ComputeUnit],
-        kernel: &mut K,
-        schedule: &Schedule,
-    ) -> u64 {
-        let queues = schedule.queues();
-        let shards: Vec<K> = queues.iter().map(|_| kernel.fork()).collect();
-        let finished: Vec<K> = std::thread::scope(|scope| {
-            let handles: Vec<_> = cus
-                .iter_mut()
-                .enumerate()
-                .zip(&queues)
-                .zip(shards)
-                .map(|(((cu_idx, cu), queue), mut shard)| {
-                    let obs = self.obs.clone();
-                    scope.spawn(move || {
-                        let worker_start = obs.as_ref().map(DeviceObs::now_us);
-                        for range in queue {
-                            let start_cycle = cu.cycles();
-                            let mut ctx = WaveCtx::new(cu, range.clone().collect());
-                            shard.execute(&mut ctx);
-                            if let Some(obs) = &obs {
-                                obs.cycle_span(
-                                    wavefront_span_name(range),
-                                    "wavefront",
-                                    cu_idx as u64,
-                                    start_cycle,
-                                    cu.cycles(),
-                                    Vec::new(),
-                                );
-                            }
-                        }
-                        if let (Some(obs), Some(start)) = (&obs, worker_start) {
-                            obs.wall_span(
-                                format!("cu{cu_idx}:worker"),
-                                "parallel",
-                                cu_idx as u64,
-                                start,
-                                vec![("wavefronts".to_string(), ArgValue::U64(queue.len() as u64))],
-                            );
-                        }
-                        shard
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("execution worker panicked"))
-                .collect()
-        });
-        // Join in CU index order — the deterministic merge.
-        for (cu_idx, shard) in finished.into_iter().enumerate() {
-            kernel.join(shard, &schedule.cu_lane_ids(cu_idx));
-        }
-        schedule.wavefronts() as u64
-    }
-
     fn run_compiled(
         &self,
         cus: &mut [ComputeUnit],
@@ -434,11 +291,12 @@ impl ExecEngine for ParallelEngine {
         );
         let launch = &launch;
         let queues = schedule.queues();
+        let num_cus = schedule.num_cus();
         let journals: Vec<Vec<ScatterWrite>> = std::thread::scope(|scope| {
             let handles: Vec<_> = cus
                 .iter_mut()
                 .enumerate()
-                .zip(queues)
+                .zip(&queues)
                 .map(|((cu_idx, cu), queue)| {
                     // Hazard-free programs never read scattered data, so a
                     // snapshot of the bindings is a faithful input set.
@@ -446,16 +304,16 @@ impl ExecEngine for ParallelEngine {
                     let obs = self.obs.clone();
                     scope.spawn(move || {
                         let worker_start = obs.as_ref().map(DeviceObs::now_us);
-                        let wavefronts = queue.len() as u64;
                         let mut journal = Vec::new();
-                        run_cu_compiled_queue(
+                        run_cu_queue(
                             cu,
                             compiled,
                             launch,
                             queue,
                             &mut local,
                             in_flight,
-                            Some(&mut journal),
+                            &mut Lanes::Whole(Some(&mut journal)),
+                            WaveTrace::new(obs.as_ref(), cu_idx, num_cus),
                         );
                         if let (Some(obs), Some(start)) = (&obs, worker_start) {
                             obs.wall_span(
@@ -463,7 +321,7 @@ impl ExecEngine for ParallelEngine {
                                 "parallel",
                                 cu_idx as u64,
                                 start,
-                                vec![("wavefronts".to_string(), ArgValue::U64(wavefronts))],
+                                vec![("wavefronts".to_string(), ArgValue::U64(queue.len() as u64))],
                             );
                         }
                         journal
@@ -502,8 +360,8 @@ pub(crate) fn program_needs_sequential_fallback(
 }
 
 /// Whether a buffer written by a scatter is also read (by a gather or as
-/// a scatter index buffer) — the pattern whose cross-CU ordering the
-/// parallel engine cannot reproduce with snapshot bindings.
+/// an index buffer) — the pattern whose cross-CU ordering the parallel
+/// engine cannot reproduce with snapshot bindings.
 fn has_cross_wavefront_hazard(program: &VProgram) -> bool {
     let scattered: BTreeSet<BufferId> = program
         .instructions()
@@ -513,16 +371,11 @@ fn has_cross_wavefront_hazard(program: &VProgram) -> bool {
             _ => None,
         })
         .collect();
+    let read = |ids: Option<BufferId>| ids.is_some_and(|id| scattered.contains(&id));
     program.instructions().iter().any(|inst| match inst {
-        VInst::Gather { data, indices, .. } => {
-            scattered.contains(data) || scattered.contains(indices)
-        }
-        VInst::Scatter { indices, .. } => scattered.contains(indices),
-        VInst::Alu { .. }
-        | VInst::LaneId { .. }
-        | VInst::PushMask { .. }
-        | VInst::PopMask
-        | VInst::LaneShift { .. } => false,
+        VInst::Gather { data, addr, .. } => scattered.contains(data) || read(addr.index_buffer()),
+        VInst::Scatter { addr, .. } => read(addr.index_buffer()),
+        _ => false,
     })
 }
 
@@ -530,7 +383,7 @@ fn has_cross_wavefront_hazard(program: &VProgram) -> bool {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
-    use crate::program::Src;
+    use crate::program::{Addr, Src};
     use tm_fpu::FpOp;
 
     #[test]
@@ -551,7 +404,6 @@ mod tests {
         let queues = s.queues();
         assert_eq!(queues[0], vec![0..64, 128..192, 256..320]);
         assert_eq!(queues[1], vec![64..128, 192..256, 320..384]);
-        assert_eq!(s.cu_lane_ids(1)[0], 64);
     }
 
     #[test]
@@ -566,16 +418,8 @@ mod tests {
         let hazardous = VProgram::new(
             1,
             vec![
-                VInst::Gather {
-                    dst: 0,
-                    data: 0,
-                    indices: 1,
-                },
-                VInst::Scatter {
-                    src: 0,
-                    data: 0,
-                    indices: 1,
-                },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
+                VInst::Scatter { src: 0, data: 0, addr: Addr::Indexed(1) },
             ],
         )
         .unwrap();
@@ -585,57 +429,17 @@ mod tests {
         let safe = VProgram::new(
             1,
             vec![
-                VInst::Gather {
-                    dst: 0,
-                    data: 0,
-                    indices: 1,
-                },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
                 VInst::Alu {
                     op: FpOp::Sqrt,
                     dst: 0,
                     srcs: vec![Src::Reg(0)],
                 },
-                VInst::Scatter {
-                    src: 0,
-                    data: 2,
-                    indices: 1,
-                },
+                VInst::Scatter { src: 0, data: 2, addr: Addr::Gid },
             ],
         )
         .unwrap();
         assert!(!has_cross_wavefront_hazard(&safe));
-    }
-
-    /// A shardable kernel: out[gid] = gid + 1.
-    struct AddOneShard {
-        out: Vec<f32>,
-    }
-
-    impl Kernel for AddOneShard {
-        fn name(&self) -> &'static str {
-            "add_one_shard"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = ctx.iota();
-            let one = ctx.splat(1.0);
-            let y = ctx.add(&x, &one);
-            for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-                self.out[gid] = y[l];
-            }
-        }
-    }
-
-    impl ShardKernel for AddOneShard {
-        fn fork(&self) -> Self {
-            Self {
-                out: vec![0.0; self.out.len()],
-            }
-        }
-        fn join(&mut self, shard: Self, gids: &[usize]) {
-            for &gid in gids {
-                self.out[gid] = shard.out[gid];
-            }
-        }
     }
 
     fn fresh_cus(config: &DeviceConfig, n: usize) -> Vec<ComputeUnit> {
@@ -643,58 +447,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_kernel_matches_sequential_output() {
-        let config = DeviceConfig::default();
-        let n = 1000;
-        let schedule = Schedule::new(n, config.wavefront_size, 4);
-
-        let mut seq_cus = fresh_cus(&config, 4);
-        let mut seq = AddOneShard { out: vec![0.0; n] };
-        let w_seq = SequentialEngine::new().run_kernel(&mut seq_cus, &mut seq, &schedule);
-
-        let mut par_cus = fresh_cus(&config, 4);
-        let mut par = AddOneShard { out: vec![0.0; n] };
-        let w_par = ParallelEngine::new().run_kernel(&mut par_cus, &mut par, &schedule);
-
-        assert_eq!(w_seq, w_par);
-        assert_eq!(seq.out, par.out);
-        for (a, b) in seq_cus.iter().zip(&par_cus) {
-            assert_eq!(a.cycles(), b.cycles());
-            assert_eq!(a.ledger().total_pj(), b.ledger().total_pj());
-        }
-    }
-
-    #[test]
     fn parallel_program_replays_scatters_deterministically() {
-        // out[i] = sqrt(in[i]): gather buf 0, scatter buf 2 — hazard-free.
+        // out[i] = sqrt(in[i]): gather buf 0, scatter buf 1 — hazard-free.
         let program = VProgram::new(
             1,
             vec![
-                VInst::Gather {
-                    dst: 0,
-                    data: 0,
-                    indices: 1,
-                },
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
                 VInst::Alu {
                     op: FpOp::Sqrt,
                     dst: 0,
                     srcs: vec![Src::Reg(0)],
                 },
-                VInst::Scatter {
-                    src: 0,
-                    data: 2,
-                    indices: 1,
-                },
+                VInst::Scatter { src: 0, data: 1, addr: Addr::Gid },
             ],
         )
         .unwrap();
         let n = 256;
         let make_bindings = || {
-            Bindings::new(vec![
-                (0..n).map(|i| (i % 7) as f32).collect(),
-                (0..n).map(|i| i as f32).collect(),
-                vec![0.0; n],
-            ])
+            Bindings::new(vec![(0..n).map(|i| (i % 7) as f32).collect(), vec![0.0; n]])
         };
         let config = DeviceConfig::default();
         let schedule = Schedule::new(n, config.wavefront_size, 2);

@@ -31,31 +31,26 @@
 //!
 //! Spatial mode ([`crate::ArchMode::Spatial`]) reuses results *across*
 //! stream cores within a sub-wavefront slot, so it cannot be sharded;
-//! this engine then falls back to the parallel (CU-level) engine. The
-//! kernel path also falls back under approximate matching: kernel host
-//! code may read any lane of a `VReg`, shards reconstruct non-owned
-//! lanes with the pure functional result, and approximate hits are the
-//! one case where a committed value can differ from it. (The program
-//! path has no such restriction — its lanewise IR never reads a
-//! non-owned lane.) Programs whose scatter/gather hazards are not
-//! lane-private (see [`crate::program::hazards_are_lane_private`]) fall
-//! back to the sequential engine, exactly like the parallel engine
+//! this engine then falls back to the parallel (CU-level) engine, as it
+//! does for programs that move values across lanes
+//! ([`crate::program::VInst::LaneShift`]). A program's lanewise
+//! instructions never read a non-owned lane, so approximate matching
+//! shards like exact matching. Programs whose scatter/gather hazards are
+//! not lane-private (see [`crate::program::hazards_are_lane_private`])
+//! fall back to the sequential engine, exactly like the parallel engine
 //! does.
 
-use crate::compiled::{run_cu_compiled_queue_sharded, CompiledProgram, LaunchState, ScatterRec};
+use crate::compiled::{run_cu_queue, CompiledProgram, Lanes, LaunchState, ScatterRec};
 use crate::compute_unit::{ComputeUnit, ShardJournal};
 use crate::config::ArchMode;
 use crate::engine::{
     program_needs_sequential_fallback, ExecEngine, ParallelEngine, Schedule, SequentialEngine,
-    ShardKernel,
 };
 use crate::obs::DeviceObs;
 use crate::program::Bindings;
 use crate::sink::LaneEvent;
-use crate::wave::WaveCtx;
 use std::ops::Range;
 use std::sync::Mutex;
-use tm_core::MatchPolicy;
 
 /// The stream-core-sharding engine. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -120,28 +115,14 @@ fn shard_ranges(num_scs: usize, shards: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// The global work-item ids of `queue`'s wavefronts whose lane position
-/// maps to a stream core in `sc_range` — the outputs one shard owns.
-fn owned_gids(queue: &[Range<usize>], sc_range: &Range<usize>, num_scs: usize) -> Vec<usize> {
-    let mut gids = Vec::new();
-    for w in queue {
-        for (pos, gid) in w.clone().enumerate() {
-            if sc_range.contains(&(pos % num_scs)) {
-                gids.push(gid);
-            }
-        }
-    }
-    gids
-}
-
 /// Merges the per-shard journals of one CU instruction-aligned and
 /// replays each instruction's lane-ordered event stream through the real
 /// CU's ECU, cycle counter and sinks.
 ///
 /// # Panics
 ///
-/// Panics if the shards' instruction streams diverged (a kernel whose
-/// issue sequence depends on non-owned lane values cannot be sharded).
+/// Panics if the shards' instruction streams diverged (every shard must
+/// issue the same instruction sequence).
 fn replay_journals(cu: &mut ComputeUnit, journals: &[ShardJournal]) {
     let n_instr = journals.first().map_or(0, |j| j.instructions.len());
     for j in journals {
@@ -185,135 +166,6 @@ fn replay_journals(cu: &mut ComputeUnit, journals: &[ShardJournal]) {
 }
 
 impl ExecEngine for IntraCuEngine {
-    fn run_kernel<K: ShardKernel>(
-        &self,
-        cus: &mut [ComputeUnit],
-        kernel: &mut K,
-        schedule: &Schedule,
-    ) -> u64 {
-        let num_scs = cus[0].config().stream_cores_per_cu;
-        let arch = cus[0].config().arch;
-        let shards = self.resolve_shards(num_scs, cus.len());
-        // Kernel host code may read any lane of a `VReg`, so every shard
-        // must see every lane's committed value. Shards reconstruct
-        // non-owned lanes with the pure functional result, which is only
-        // faithful when hits cannot return approximate values — under
-        // approximate matching, shard at CU granularity instead.
-        let values_functional = arch == ArchMode::Baseline
-            || (arch == ArchMode::Memoized
-                && matches!(cus[0].config().policy, MatchPolicy::Exact));
-        if arch == ArchMode::Spatial || shards <= 1 || !values_functional {
-            if let Some(obs) = &self.obs {
-                obs.inc("intra_cu.fallback_to_parallel", 1);
-            }
-            return ParallelEngine::with_obs(self.obs.clone()).run_kernel(cus, kernel, schedule);
-        }
-        let ranges = shard_ranges(num_scs, shards);
-        let queues = schedule.queues();
-
-        struct Task<K> {
-            id: usize,
-            cu_idx: usize,
-            cu: ComputeUnit,
-            shard: K,
-            sc_range: Range<usize>,
-        }
-        let mut tasks: Vec<Task<K>> = Vec::new();
-        for (cu_idx, cu) in cus.iter().enumerate() {
-            for r in &ranges {
-                tasks.push(Task {
-                    id: tasks.len(),
-                    cu_idx,
-                    cu: cu.clone(),
-                    shard: kernel.fork(),
-                    sc_range: r.clone(),
-                });
-            }
-        }
-        let n_tasks = tasks.len();
-        let task_queue = Mutex::new(tasks);
-        type DoneSlot<K> = Mutex<Option<(Task<K>, ShardJournal)>>;
-        let done: Vec<DoneSlot<K>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-        let workers = worker_count().min(n_tasks);
-        std::thread::scope(|scope| {
-            let task_queue = &task_queue;
-            let done = &done;
-            let queues = &queues;
-            for w in 0..workers {
-                let obs = self.obs.clone();
-                scope.spawn(move || {
-                    let mut executed = 0u64;
-                    loop {
-                        let Some(mut task) = task_queue.lock().expect("task queue poisoned").pop()
-                        else {
-                            break;
-                        };
-                        executed += 1;
-                        let task_start = obs.as_ref().map(DeviceObs::now_us);
-                        let id = task.id;
-                        let mut journal = ShardJournal::default();
-                        for wrange in &queues[task.cu_idx] {
-                            let mut ctx = WaveCtx::new_sharded(
-                                &mut task.cu,
-                                wrange.clone().collect(),
-                                task.sc_range.clone(),
-                                &mut journal,
-                            );
-                            task.shard.execute(&mut ctx);
-                        }
-                        if let (Some(obs), Some(start)) = (&obs, task_start) {
-                            obs.wall_span(
-                                task_span_name(task.cu_idx, &task.sc_range),
-                                "intra-cu",
-                                w as u64,
-                                start,
-                                Vec::new(),
-                            );
-                        }
-                        *done[id].lock().expect("result slot poisoned") = Some((task, journal));
-                    }
-                    if executed > 0 {
-                        if let Some(obs) = &obs {
-                            obs.inc("intra_cu.steals", executed);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Deterministic merge, in (CU, shard) index order: adopt each
-        // shard's stream-core state, join its kernel outputs, then replay
-        // the CU's merged instruction stream through the real accounting.
-        let mut results = done
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("execution worker dropped a task")
-            })
-            .collect::<Vec<_>>()
-            .into_iter();
-        for (cu_idx, cu) in cus.iter_mut().enumerate() {
-            let merge_start = self.obs.as_ref().map(DeviceObs::now_us);
-            let mut journals = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (mut task, journal) = results.next().expect("missing shard result");
-                debug_assert_eq!(task.cu_idx, cu_idx);
-                cu.adopt_shard(&mut task.cu, task.sc_range.clone());
-                kernel.join(
-                    task.shard,
-                    &owned_gids(&queues[cu_idx], &task.sc_range, num_scs),
-                );
-                journals.push(journal);
-            }
-            replay_journals(cu, &journals);
-            if let (Some(obs), Some(start)) = (&self.obs, merge_start) {
-                obs.wall_span(format!("cu{cu_idx}:merge"), "intra-cu", cu_idx as u64, start, Vec::new());
-            }
-        }
-        schedule.wavefronts() as u64
-    }
-
     fn run_compiled(
         &self,
         cus: &mut [ComputeUnit],
@@ -414,17 +266,21 @@ impl ExecEngine for IntraCuEngine {
                         let id = task.id;
                         let mut journal = ShardJournal::default();
                         let mut scatters = Vec::new();
-                        run_cu_compiled_queue_sharded(
+                        run_cu_queue(
                             &mut task.cu,
                             compiled,
                             launch,
                             &queues[task.cu_idx],
                             &mut task.bindings,
                             in_flight,
-                            &task.sc_range,
-                            num_scs,
-                            &mut journal,
-                            &mut scatters,
+                            &mut Lanes::Shard {
+                                sc_range: task.sc_range.clone(),
+                                num_scs,
+                                journal: &mut journal,
+                                scatters: &mut scatters,
+                                ordinal: 0,
+                            },
+                            None,
                         );
                         if let (Some(obs), Some(start)) = (&obs, task_start) {
                             obs.wall_span(
@@ -521,19 +377,5 @@ mod tests {
         for w in r.windows(2) {
             assert_eq!(w[0].end, w[1].start);
         }
-    }
-
-    #[test]
-    fn owned_gids_partition_the_queue() {
-        let queue = vec![0..64, 128..150];
-        let a = owned_gids(&queue, &(0..8), 16);
-        let b = owned_gids(&queue, &(8..16), 16);
-        let mut all: Vec<usize> = a.iter().chain(b.iter()).copied().collect();
-        all.sort_unstable();
-        let expect: Vec<usize> = (0..64).chain(128..150).collect();
-        assert_eq!(all, expect);
-        // Lane 0 of each wavefront maps to SC 0.
-        assert!(a.contains(&0) && a.contains(&128));
-        assert!(!b.contains(&0));
     }
 }

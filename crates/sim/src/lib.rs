@@ -21,16 +21,15 @@
 //!
 //! # Programming model
 //!
-//! Two ways to express a kernel:
-//!
-//! - implement [`Kernel`] against [`WaveCtx`], a wavefront-wide SIMT
-//!   context: every ALU call (e.g. [`WaveCtx::mul`]) issues one Evergreen
-//!   vector instruction over all active lanes, routing each lane through
-//!   its stream core's FPU + memoization module, charging cycles and
-//!   energy per the Table-2 action; or
-//! - build a [`program::VProgram`] (a straight-line vector-instruction
-//!   list) and run it with [`Device::run_program`], which can *interleave*
-//!   multiple wavefronts per compute unit the way real hardware does.
+//! A kernel is a [`program::VProgram`]: a vector-instruction list over a
+//! register file, with gathers and scatters against bound buffers. Every
+//! ALU instruction issues one Evergreen vector instruction over all
+//! active lanes of a wavefront, routing each lane through its stream
+//! core's FPU + memoization module and charging cycles and energy per the
+//! Table-2 action. [`Device::run_program`] lowers the program into the
+//! bytecode VM ([`CompiledProgram`]) and runs it on the configured
+//! backend, optionally *interleaving* several wavefronts per compute unit
+//! the way real hardware does.
 //!
 //! Three architecture variants are selectable via [`ArchMode`]: the
 //! baseline resilient design, the paper's temporal memoization, and the
@@ -42,30 +41,22 @@
 //! # Examples
 //!
 //! ```
-//! use tm_sim::{Device, DeviceConfig, Kernel, VReg, WaveCtx};
+//! use tm_fpu::FpOp;
+//! use tm_sim::program::{Addr, Bindings, Src, VInst, VProgram};
+//! use tm_sim::{Device, DeviceConfig};
 //!
-//! /// y[i] = sqrt(x[i]) over a constant input — maximal value locality.
-//! struct SqrtAll {
-//!     out: Vec<f32>,
-//! }
-//!
-//! impl Kernel for SqrtAll {
-//!     fn name(&self) -> &'static str {
-//!         "sqrt_all"
-//!     }
-//!     fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-//!         let x = VReg::splat(ctx.lanes(), 9.0);
-//!         let y = ctx.sqrt(&x);
-//!         for (i, gid) in ctx.lane_ids().to_vec().into_iter().enumerate() {
-//!             self.out[gid] = y[i];
-//!         }
-//!     }
-//! }
+//! // y[i] = sqrt(9.0) for every work-item — maximal value locality.
+//! let program = VProgram::new(1, vec![
+//!     VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Imm(9.0)] },
+//!     VInst::Scatter { src: 0, data: 0, addr: Addr::Gid },
+//! ])
+//! .unwrap()
+//! .with_name("sqrt_all");
 //!
 //! let mut device = Device::new(DeviceConfig::default());
-//! let mut kernel = SqrtAll { out: vec![0.0; 256] };
-//! device.run(&mut kernel, 256);
-//! assert!(kernel.out.iter().all(|&v| v == 3.0));
+//! let mut bindings = Bindings::new(vec![vec![0.0; 256]]);
+//! device.run_program(&program, &mut bindings, 256, 1);
+//! assert!(bindings.buffer(0).iter().all(|&v| v == 3.0));
 //! let report = device.report();
 //! // After one cold miss per stream-core FIFO, every identical operand hits.
 //! assert!(report.weighted_hit_rate() > 0.85);
@@ -80,7 +71,6 @@ mod config;
 mod device;
 pub mod engine;
 pub mod intra_cu;
-mod kernel;
 pub mod locality;
 pub mod obs;
 pub mod pool;
@@ -90,17 +80,15 @@ pub mod sink;
 mod snapshot;
 mod stream_core;
 mod trace;
-mod wave;
 
-pub use compiled::{CompileOptions, CompiledProgram};
+pub use compiled::CompiledProgram;
 pub use compute_unit::{ComputeUnit, OpTally};
 pub use config::{
     ArchMode, ConfigError, DeviceConfig, DeviceConfigBuilder, ErrorMode, ExecBackend,
 };
 pub use device::Device;
-pub use engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine, ShardKernel};
+pub use engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
 pub use intra_cu::IntraCuEngine;
-pub use kernel::Kernel;
 pub use obs::DeviceObs;
 pub use pool::{DevicePool, PoolStats};
 pub use report::{DeviceReport, OpReport};
@@ -111,14 +99,14 @@ pub use sink::{
 pub use snapshot::{DeviceSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use stream_core::{LaneUnit, StreamCore};
 pub use trace::{TraceBuffer, TraceEvent};
-pub use wave::{VReg, WaveCtx};
 
 pub mod prelude {
     //! One-stop imports for kernels, benchmarks and examples.
     //!
     //! Re-exports the dozen types almost every driver needs — the
     //! device and its validated configuration, the execution backends,
-    //! the report, and the matching/error knobs — so call sites write
+    //! the program form, the report, and the matching/error knobs — so
+    //! call sites write
     //! `use tm_sim::prelude::*;` instead of four deep-path `use` lines.
     //!
     //! # Examples
@@ -138,10 +126,8 @@ pub mod prelude {
         ArchMode, ConfigError, DeviceConfig, DeviceConfigBuilder, ErrorMode, ExecBackend,
     };
     pub use crate::device::Device;
-    pub use crate::engine::ShardKernel;
-    pub use crate::kernel::Kernel;
+    pub use crate::program::{Addr, Bindings, Src, VInst, VProgram};
     pub use crate::report::{DeviceReport, OpReport};
-    pub use crate::wave::{VReg, WaveCtx};
     pub use tm_core::MatchPolicy;
     pub use tm_timing::{ErrorModelSpec, RecoveryPolicy};
 }

@@ -129,17 +129,16 @@ mod tests {
         let mut d = pool.acquire(&config);
         assert_eq!(pool.stats().cold_builds, 1);
         // Leave some state behind: one launch worth of stats + FIFO fill.
-        struct One;
-        impl crate::Kernel for One {
-            fn name(&self) -> &'static str {
-                "one"
-            }
-            fn execute(&mut self, ctx: &mut crate::WaveCtx<'_>) {
-                let x = crate::VReg::splat(ctx.lanes(), 2.0);
-                let _ = ctx.mul(&x, &x);
-            }
-        }
-        d.run(&mut One, 64);
+        let square = crate::program::VProgram::new(
+            1,
+            vec![crate::program::VInst::Alu {
+                op: tm_fpu::FpOp::Mul,
+                dst: 0,
+                srcs: vec![crate::program::Src::Imm(2.0); 2],
+            }],
+        )
+        .unwrap();
+        d.run_program(&square, &mut crate::program::Bindings::new(Vec::new()), 64, 1);
         assert!(d.report().wavefronts > 0);
         pool.release(d);
         assert_eq!(pool.idle_len(), 1);

@@ -1455,32 +1455,24 @@ fn unit_from_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Kernel;
-    use crate::wave::WaveCtx;
+    use crate::program::{Addr, Bindings, Src, VInst, VProgram};
+    use tm_fpu::FpOp;
 
-    struct Mix {
-        out: Vec<f32>,
-    }
-
-    impl Kernel for Mix {
-        fn name(&self) -> &'static str {
-            "mix"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = ctx.iota();
-            let half = ctx.splat(0.5);
-            let y = ctx.mul(&x, &half);
-            let z = ctx.add(&y, &half);
-            let r = ctx.sqrt(&z);
-            for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-                self.out[gid] = r[l];
-            }
-        }
-    }
-
+    /// `out[gid] = sqrt(gid * 0.5 + 0.5)`.
     fn run_some(device: &mut Device, n: usize) {
-        let mut k = Mix { out: vec![0.0; n] };
-        device.run(&mut k, n);
+        let mix = VProgram::new(
+            2,
+            vec![
+                VInst::LaneId { dst: 0 },
+                VInst::Alu { op: FpOp::Mul, dst: 1, srcs: vec![Src::Reg(0), Src::Imm(0.5)] },
+                VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Imm(0.5)] },
+                VInst::Alu { op: FpOp::Sqrt, dst: 1, srcs: vec![Src::Reg(1)] },
+                VInst::Scatter { src: 1, data: 0, addr: Addr::Gid },
+            ],
+        )
+        .unwrap()
+        .with_name("mix");
+        device.run_program(&mix, &mut Bindings::new(vec![vec![0.0; n]]), n, 1);
     }
 
     fn busy_config() -> DeviceConfig {

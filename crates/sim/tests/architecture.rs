@@ -4,30 +4,23 @@
 
 use tm_core::MatchPolicy;
 use tm_fpu::FpOp;
-use tm_sim::{ArchMode, Device, DeviceConfig, ErrorMode, Kernel, VReg, WaveCtx};
+use tm_sim::program::{Addr, Bindings, Src, VInst, VProgram};
+use tm_sim::{ArchMode, Device, DeviceConfig, ErrorMode};
 
-/// A kernel whose per-lane value is computed by a caller-supplied closure.
-struct LaneValued<F: Fn(usize) -> f32> {
-    value: F,
-    op: FpOp,
-}
-
-impl<F: Fn(usize) -> f32> Kernel for LaneValued<F> {
-    fn name(&self) -> &'static str {
-        "lane_valued"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let x = VReg::from_fn(ctx.lanes(), |l| (self.value)(ctx.lane_ids()[l]));
-        let _ = match self.op {
-            FpOp::Sqrt => ctx.sqrt(&x),
-            FpOp::Recip => ctx.recip(&x),
-            _ => {
-                let y = ctx.splat(1.0);
-                ctx.add(&x, &y)
-            }
-        };
-    }
+/// Runs the unary `op` over `n` work-items whose per-lane value is
+/// `value(gid)`.
+fn run_lane_valued(device: &mut Device, value: impl Fn(usize) -> f32, op: FpOp, n: usize) {
+    let program = VProgram::new(
+        2,
+        vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Alu { op, dst: 1, srcs: vec![Src::Reg(0)] },
+        ],
+    )
+    .unwrap()
+    .with_name("lane_valued");
+    let mut bindings = Bindings::new(vec![(0..n).map(value).collect()]);
+    device.run_program(&program, &mut bindings, n, 1);
 }
 
 fn one_cu() -> DeviceConfig {
@@ -40,11 +33,8 @@ fn values_repeating_with_stride_16_hit_maximally() {
     // sub-wavefront slots; equal values there are exactly what a 2-entry
     // FIFO catches.
     let mut device = Device::new(one_cu());
-    let mut kernel = LaneValued {
-        value: |gid| (gid % 16) as f32 + 1.0, // constant per SC, forever
-        op: FpOp::Sqrt,
-    };
-    device.run(&mut kernel, 4096);
+    // Constant per SC, forever.
+    run_lane_valued(&mut device, |gid| (gid % 16) as f32 + 1.0, FpOp::Sqrt, 4096);
     let rate = device.report().weighted_hit_rate();
     // One cold miss per SC FIFO, everything else hits.
     assert!(rate > 0.99, "stride-16 locality should saturate, got {rate}");
@@ -55,11 +45,8 @@ fn values_distinct_along_each_stream_core_miss() {
     // Values constant within a slot but changing every slot defeat the
     // temporal FIFO: each SC sees a new operand each cycle.
     let mut device = Device::new(one_cu());
-    let mut kernel = LaneValued {
-        value: |gid| (gid / 16) as f32 * 1.0001 + 1.0, // new value per slot
-        op: FpOp::Sqrt,
-    };
-    device.run(&mut kernel, 4096);
+    // A new value per slot.
+    run_lane_valued(&mut device, |gid| (gid / 16) as f32 * 1.0001 + 1.0, FpOp::Sqrt, 4096);
     let rate = device.report().weighted_hit_rate();
     assert!(rate < 0.05, "per-slot-unique values should miss, got {rate}");
 }
@@ -70,11 +57,7 @@ fn slot_constant_values_favor_spatial_reuse() {
     // invisible to per-SC FIFOs, ideal for cross-lane (spatial) reuse.
     let make = |arch| {
         let mut device = Device::new(one_cu().rebuild().with_arch(arch).build().unwrap());
-        let mut kernel = LaneValued {
-            value: |gid| (gid / 16) as f32 * 1.0001 + 1.0,
-            op: FpOp::Sqrt,
-        };
-        device.run(&mut kernel, 4096);
+        run_lane_valued(&mut device, |gid| (gid / 16) as f32 * 1.0001 + 1.0, FpOp::Sqrt, 4096);
         device.report()
     };
     let temporal = make(ArchMode::Memoized);
@@ -92,13 +75,10 @@ fn stats_accumulate_across_kernel_launches() {
     // One device, two launches: the FIFOs persist, so the second launch
     // of the same values is all hits.
     let mut device = Device::new(one_cu());
-    let mut kernel = LaneValued {
-        value: |gid| (gid % 8) as f32,
-        op: FpOp::Recip,
-    };
-    device.run(&mut kernel, 512);
+    let value = |gid| (gid % 8) as f32;
+    run_lane_valued(&mut device, value, FpOp::Recip, 512);
     let after_first = device.report().total_stats();
-    device.run(&mut kernel, 512);
+    run_lane_valued(&mut device, value, FpOp::Recip, 512);
     let after_second = device.report().total_stats();
     assert_eq!(after_second.lookups, 2 * after_first.lookups);
     assert!(after_second.hits > after_first.hits);
@@ -107,21 +87,18 @@ fn stats_accumulate_across_kernel_launches() {
 #[test]
 fn per_op_fifos_are_independent() {
     // Interleaving two op types must not evict each other's contexts.
-    struct TwoOps;
-    impl Kernel for TwoOps {
-        fn name(&self) -> &'static str {
-            "two_ops"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = ctx.splat(4.0);
-            for _ in 0..8 {
-                let _ = ctx.sqrt(&x);
-                let _ = ctx.recip(&x);
-            }
-        }
-    }
+    let two_ops = VProgram::new(
+        1,
+        vec![
+            VInst::Loop { count: 8 },
+            VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Imm(4.0)] },
+            VInst::Alu { op: FpOp::Recip, dst: 0, srcs: vec![Src::Imm(4.0)] },
+            VInst::EndLoop,
+        ],
+    )
+    .unwrap();
     let mut device = Device::new(one_cu());
-    device.run(&mut TwoOps, 64);
+    device.run_program(&two_ops, &mut Bindings::new(Vec::new()), 64, 1);
     let report = device.report();
     // After the cold miss, every access of both types hits: the SQRT
     // stream never disturbs the RECIP FIFO and vice versa.
@@ -146,11 +123,7 @@ fn errors_do_not_leak_between_architectures_with_same_seed() {
             .build()
             .unwrap();
         let mut device = Device::new(config);
-        let mut kernel = LaneValued {
-            value: |gid| (gid % 4) as f32,
-            op: FpOp::Sqrt,
-        };
-        device.run(&mut kernel, 2048);
+        run_lane_valued(&mut device, |gid| (gid % 4) as f32, FpOp::Sqrt, 2048);
         device.report().errors_injected
     };
     assert_eq!(run(ArchMode::Memoized), run(ArchMode::Baseline));
@@ -165,30 +138,25 @@ fn approximate_policy_device_wide() {
         .unwrap();
     let mut device = Device::new(config);
     // Values jitter within the threshold around a per-SC base.
-    let mut kernel = LaneValued {
-        value: |gid| (gid % 16) as f32 + 0.1 * ((gid / 16 % 3) as f32),
-        op: FpOp::Sqrt,
-    };
-    device.run(&mut kernel, 4096);
+    let value = |gid: usize| (gid % 16) as f32 + 0.1 * ((gid / 16 % 3) as f32);
+    run_lane_valued(&mut device, value, FpOp::Sqrt, 4096);
     let rate = device.report().weighted_hit_rate();
     assert!(rate > 0.95, "jitter within threshold should hit, got {rate}");
 }
 
 #[test]
 fn deep_recip_pipeline_and_short_add_coexist() {
-    struct Mixed;
-    impl Kernel for Mixed {
-        fn name(&self) -> &'static str {
-            "mixed"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = ctx.iota();
-            let r = ctx.recip(&x);
-            let _ = ctx.add(&r, &x);
-        }
-    }
+    let mixed = VProgram::new(
+        2,
+        vec![
+            VInst::LaneId { dst: 0 },
+            VInst::Alu { op: FpOp::Recip, dst: 1, srcs: vec![Src::Reg(0)] },
+            VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Reg(0)] },
+        ],
+    )
+    .unwrap();
     let mut device = Device::new(one_cu());
-    device.run(&mut Mixed, 128);
+    device.run_program(&mixed, &mut Bindings::new(Vec::new()), 128, 1);
     let report = device.report();
     assert_eq!(report.op(FpOp::Recip).unwrap().lane_instructions, 128);
     assert_eq!(report.op(FpOp::Add).unwrap().lane_instructions, 128);

@@ -6,50 +6,39 @@
 //! a reused device never leaks observability state across measurement
 //! boundaries.
 
+use tm_fpu::FpOp;
 use tm_obs::{validate_chrome_trace, HubMetric, SharedRecorder, TelemetryHub};
-use tm_sim::{
-    Device, DeviceConfig, ErrorMode, ExecBackend, Kernel, MetricsSink, ShardKernel, VReg,
-    WaveCtx,
-};
+use tm_sim::program::{Addr, Bindings, Src, VInst, VProgram};
+use tm_sim::{Device, DeviceConfig, ErrorMode, ExecBackend, MetricsSink};
 
 const WINDOW: u64 = 64;
 
-/// A shardable kernel with per-stream-core value locality and a mix of
+/// `out = sqrt(x) + x` over per-stream-core-constant inputs and two
 /// opcodes — enough structure to populate hit/miss, error and energy
 /// channels of the metrics sink.
-struct MixedShard {
-    out: Vec<f32>,
+fn mixed() -> VProgram {
+    VProgram::new(
+        2,
+        vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Alu { op: FpOp::Sqrt, dst: 1, srcs: vec![Src::Reg(0)] },
+            VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Reg(0)] },
+            VInst::Scatter { src: 1, data: 1, addr: Addr::Gid },
+        ],
+    )
+    .unwrap()
+    .with_name("mixed_shard")
 }
 
-impl MixedShard {
-    fn new(n: usize) -> Self {
-        Self { out: vec![0.0; n] }
-    }
-}
-
-impl Kernel for MixedShard {
-    fn name(&self) -> &'static str {
-        "mixed_shard"
-    }
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let x = VReg::from_fn(ctx.lanes(), |l| (l % 16) as f32 + 1.5);
-        let s = ctx.sqrt(&x);
-        let y = ctx.add(&s, &x);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.out[gid] = y[l];
-        }
-    }
-}
-
-impl ShardKernel for MixedShard {
-    fn fork(&self) -> Self {
-        Self::new(self.out.len())
-    }
-    fn join(&mut self, shard: Self, gids: &[usize]) {
-        for &gid in gids {
-            self.out[gid] = shard.out[gid];
-        }
-    }
+/// Runs [`mixed`] over `n` work-items with `in_flight` wavefronts per
+/// CU, returning its output.
+fn launch(device: &mut Device, n: usize, in_flight: usize) -> Vec<f32> {
+    let mut bindings = Bindings::new(vec![
+        (0..n).map(|g| (g % 16) as f32 + 1.5).collect(),
+        vec![0.0; n],
+    ]);
+    device.run_program(&mixed(), &mut bindings, n, in_flight);
+    bindings.buffer(1).to_vec()
 }
 
 const ALL_BACKENDS: [ExecBackend; 3] =
@@ -69,12 +58,10 @@ fn observability_never_perturbs_results_and_traces_every_backend() {
     for backend in ALL_BACKENDS {
         let mut traced = Device::new(config(backend).rebuild().with_metrics_window(WINDOW).build().unwrap());
         traced.attach_recorder(&rec);
-        let mut traced_k = MixedShard::new(400);
-        traced.dispatch(&mut traced_k, 400);
+        let traced_out = launch(&mut traced, 400, 1);
 
         let mut plain = Device::new(config(backend));
-        let mut plain_k = MixedShard::new(400);
-        plain.dispatch(&mut plain_k, 400);
+        let plain_out = launch(&mut plain, 400, 1);
 
         assert_eq!(
             traced.report(),
@@ -82,7 +69,7 @@ fn observability_never_perturbs_results_and_traces_every_backend() {
             "{backend:?}: tracing must not change the report"
         );
         assert_eq!(
-            traced_k.out, plain_k.out,
+            traced_out, plain_out,
             "{backend:?}: tracing must not change kernel output"
         );
 
@@ -122,13 +109,34 @@ fn observability_never_perturbs_results_and_traces_every_backend() {
 }
 
 #[test]
+fn interleaved_wavefront_spans_keep_the_trace_well_nested() {
+    // With several wavefronts in flight their cycle spans overlap; each
+    // in-flight slot gets its own track so every track stays nested.
+    for backend in [ExecBackend::Sequential, ExecBackend::Parallel] {
+        let rec = SharedRecorder::new();
+        let mut device = Device::new(config(backend));
+        device.attach_recorder(&rec);
+        // 12 wavefronts over 2 CUs, 4 in flight per CU: two slot rounds
+        // on each CU, and the small-launch path on the parallel backend.
+        let out = launch(&mut device, 64 * 12, 4);
+        let mut plain = Device::new(config(backend));
+        assert_eq!(out, launch(&mut plain, 64 * 12, 4));
+        assert_eq!(device.report(), plain.report());
+
+        let json = rec.chrome_trace_json();
+        validate_chrome_trace(&json).expect("interleaved trace must be schema-valid");
+        let wf_spans = rec.with(|r| r.spans().iter().filter(|s| s.name.starts_with("wf:")).count());
+        assert_eq!(wf_spans, 12, "{backend:?}: one cycle span per wavefront");
+    }
+}
+
+#[test]
 fn detached_device_records_nothing() {
     let rec = SharedRecorder::new();
     let mut device = Device::new(config(ExecBackend::Sequential));
     device.attach_recorder(&rec);
     device.detach_recorder();
-    let mut k = MixedShard::new(128);
-    device.dispatch(&mut k, 128);
+    let _ = launch(&mut device, 128, 1);
     assert_eq!(rec.span_count(), 0, "detached device must not record spans");
 }
 
@@ -146,8 +154,7 @@ fn reset_stats_clears_metrics_windows_without_leaking() {
             .with_metrics_window(WINDOW).build().unwrap(),
     );
     let run = |device: &mut Device| {
-        let mut k = MixedShard::new(512);
-        device.dispatch(&mut k, 512);
+        let _ = launch(device, 512, 1);
     };
     run(&mut device);
     let first = device.compute_units()[0]
@@ -191,12 +198,10 @@ fn hub_publication_never_perturbs_results_on_any_backend() {
     for backend in ALL_BACKENDS {
         let mut observed = Device::new(config(backend));
         let scope = observed.attach_hub(&hub);
-        let mut observed_k = MixedShard::new(400);
-        observed.dispatch(&mut observed_k, 400);
+        let observed_out = launch(&mut observed, 400, 1);
 
         let mut plain = Device::new(config(backend));
-        let mut plain_k = MixedShard::new(400);
-        plain.dispatch(&mut plain_k, 400);
+        let plain_out = launch(&mut plain, 400, 1);
 
         assert_eq!(
             observed.report(),
@@ -204,7 +209,7 @@ fn hub_publication_never_perturbs_results_on_any_backend() {
             "{backend:?}: hub publication must not change the report"
         );
         assert_eq!(
-            observed_k.out, plain_k.out,
+            observed_out, plain_out,
             "{backend:?}: hub publication must not change kernel output"
         );
 
@@ -260,8 +265,7 @@ fn reset_stats_clears_hub_series_without_leaking() {
     // survive a device reset untouched.
     hub.counter_add("campaign.trials_done", 3);
 
-    let mut k = MixedShard::new(256);
-    device.dispatch(&mut k, 256);
+    let _ = launch(&mut device, 256, 1);
     assert!(
         hub.snapshot()
             .iter()
@@ -282,8 +286,7 @@ fn reset_stats_clears_hub_series_without_leaking() {
     );
 
     // The next job starts from clean series, not stacked ones.
-    let mut k2 = MixedShard::new(256);
-    device.dispatch(&mut k2, 256);
+    let _ = launch(&mut device, 256, 1);
     assert_eq!(
         hub.snapshot().get(&format!("{scope}launches")),
         Some(&HubMetric::Counter(1)),
@@ -299,22 +302,19 @@ fn hub_and_recorder_compose_and_detach_independently() {
     let scope = device.attach_hub(&hub);
     device.attach_recorder(&rec);
 
-    let mut k = MixedShard::new(128);
-    device.dispatch(&mut k, 128);
+    let _ = launch(&mut device, 128, 1);
     assert!(rec.span_count() > 0, "recorder sees spans");
     assert_eq!(hub.counter(&format!("{scope}launches")), 1, "hub sees launches");
 
     // Dropping the recorder keeps the hub publishing.
     device.detach_recorder();
     let spans_before = rec.span_count();
-    let mut k2 = MixedShard::new(128);
-    device.dispatch(&mut k2, 128);
+    let _ = launch(&mut device, 128, 1);
     assert_eq!(rec.span_count(), spans_before, "no spans after detach");
     assert_eq!(hub.counter(&format!("{scope}launches")), 2, "hub still live");
 
     // Dropping the hub stops publication without disturbing series.
     device.detach_hub();
-    let mut k3 = MixedShard::new(128);
-    device.dispatch(&mut k3, 128);
+    let _ = launch(&mut device, 128, 1);
     assert_eq!(hub.counter(&format!("{scope}launches")), 2, "hub detached");
 }

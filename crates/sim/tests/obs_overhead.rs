@@ -12,7 +12,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tm_fpu::FpOp;
 use tm_obs::TelemetryHub;
-use tm_sim::{ComputeUnit, Device, DeviceConfig, Kernel, VReg, WaveCtx};
+use tm_sim::program::{Addr, Bindings, Src, VInst, VProgram};
+use tm_sim::{CompiledProgram, ComputeUnit, Device, DeviceConfig};
 
 // Bursts are kept short (~1ms release, ~15ms debug): a burst spanning
 // many scheduler quanta can never dodge a busy neighbour on a one-core
@@ -117,32 +118,46 @@ fn metrics_sink_costs_at_most_five_percent() {
     );
 }
 
-/// A kernel with a varied operand stream — misses and updates keep the
+/// A program with a varied operand stream — misses and updates keep the
 /// expensive memoization paths live under the hub-attached device.
-struct SqrtMix;
-impl Kernel for SqrtMix {
-    fn name(&self) -> &'static str {
-        "sqrt_mix"
-    }
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let x = VReg::from_fn(ctx.lanes(), |l| (l % 13) as f32 * 0.75 + 0.5);
-        let s = ctx.sqrt(&x);
-        let _ = ctx.add(&s, &x);
-        black_box(&s);
+struct SqrtMix {
+    program: CompiledProgram,
+    bindings: Bindings,
+}
+
+impl SqrtMix {
+    const LANES: usize = 4096;
+
+    fn new() -> Self {
+        let program = VProgram::new(
+            2,
+            vec![
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+                VInst::Alu { op: FpOp::Sqrt, dst: 1, srcs: vec![Src::Reg(0)] },
+                VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(1), Src::Reg(0)] },
+            ],
+        )
+        .unwrap()
+        .with_name("sqrt_mix");
+        let input = (0..Self::LANES).map(|g| (g % 64 % 13) as f32 * 0.75 + 0.5).collect();
+        Self {
+            program: CompiledProgram::compile(&program),
+            bindings: Bindings::new(vec![input]),
+        }
     }
 }
 
-fn device_burst(device: &mut Device) {
+fn device_burst(device: &mut Device, work: &mut SqrtMix) {
     for _ in 0..8 {
-        device.run(&mut SqrtMix, 4096);
+        device.run_compiled(&work.program, &mut work.bindings, SqrtMix::LANES, 1);
     }
 }
 
-fn device_best_of(device: &mut Device, trials: usize) -> f64 {
+fn device_best_of(device: &mut Device, work: &mut SqrtMix, trials: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..trials {
         let start = Instant::now();
-        device_burst(device);
+        device_burst(device, work);
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
@@ -168,15 +183,16 @@ fn telemetry_hub_costs_at_most_five_percent() {
     observed.attach_hub(&hub);
 
     // Warm-up instantiates per-op units and hub series.
-    device_burst(&mut plain);
-    device_burst(&mut observed);
+    let mut work = SqrtMix::new();
+    device_burst(&mut plain, &mut work);
+    device_burst(&mut observed, &mut work);
 
     let mut best_plain = f64::INFINITY;
     let mut best_observed = f64::INFINITY;
     for attempt in 0..ATTEMPTS {
         for _ in 0..TRIALS {
-            best_plain = best_plain.min(device_best_of(&mut plain, 1));
-            best_observed = best_observed.min(device_best_of(&mut observed, 1));
+            best_plain = best_plain.min(device_best_of(&mut plain, &mut work, 1));
+            best_observed = best_observed.min(device_best_of(&mut observed, &mut work, 1));
         }
         if best_observed <= best_plain * 1.05 + 50e-6 {
             break;

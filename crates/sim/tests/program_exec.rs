@@ -2,7 +2,7 @@
 //! interleaving.
 
 use tm_fpu::FpOp;
-use tm_sim::program::{Bindings, Src, VInst, VProgram};
+use tm_sim::program::{Addr, Bindings, Src, VInst, VProgram};
 use tm_sim::{Device, DeviceConfig};
 
 /// out[i] = sqrt(in[i]) * 2.0 + in[i]
@@ -13,7 +13,7 @@ fn sample_program() -> VProgram {
             VInst::Gather {
                 dst: 0,
                 data: 0,
-                indices: 1,
+                addr: Addr::Indexed(1),
             },
             VInst::Alu {
                 op: FpOp::Sqrt,
@@ -28,7 +28,7 @@ fn sample_program() -> VProgram {
             VInst::Scatter {
                 src: 2,
                 data: 2,
-                indices: 1,
+                addr: Addr::Indexed(1),
             },
         ],
     )
@@ -78,7 +78,7 @@ fn interleaving_degrades_temporal_locality() {
             VInst::Gather {
                 dst: 0,
                 data: 0,
-                indices: 1,
+                addr: Addr::Indexed(1),
             },
             VInst::Alu {
                 op: FpOp::Sqrt,
@@ -93,7 +93,7 @@ fn interleaving_degrades_temporal_locality() {
             VInst::Scatter {
                 src: 2,
                 data: 2,
-                indices: 1,
+                addr: Addr::Indexed(1),
             },
         ],
     )
@@ -118,51 +118,6 @@ fn interleaving_degrades_temporal_locality() {
 }
 
 #[test]
-fn in_flight_one_matches_closure_api_hit_rate() {
-    // The IR path at in_flight = 1 must produce the same FIFO streams as
-    // the closure API for an equivalent kernel.
-    use tm_sim::{Kernel, VReg, WaveCtx};
-
-    struct Equivalent {
-        input: Vec<f32>,
-    }
-    impl Kernel for Equivalent {
-        fn name(&self) -> &'static str {
-            "equivalent"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = VReg::from_fn(ctx.lanes(), |l| self.input[ctx.lane_ids()[l]]);
-            let s = ctx.sqrt(&x);
-            let two = ctx.splat(2.0);
-            let _ = ctx.muladd(&s, &two, &x);
-        }
-    }
-
-    let n = 1024;
-    let values = |i: usize| (i % 7) as f32;
-
-    let mut program_dev = Device::new(DeviceConfig::default());
-    let mut bindings = sample_bindings(n, values);
-    program_dev.run_program(&sample_program(), &mut bindings, n, 1);
-
-    let mut closure_dev = Device::new(DeviceConfig::default());
-    let mut kernel = Equivalent {
-        input: (0..n).map(values).collect(),
-    };
-    closure_dev.run(&mut kernel, n);
-
-    let a = program_dev.report();
-    let b = closure_dev.report();
-    assert_eq!(a.total_instructions(), b.total_instructions());
-    assert!(
-        (a.weighted_hit_rate() - b.weighted_hit_rate()).abs() < 1e-12,
-        "IR {} vs closure {}",
-        a.weighted_hit_rate(),
-        b.weighted_hit_rate()
-    );
-}
-
-#[test]
 fn lane_id_instruction_provides_global_ids() {
     let program = VProgram::new(
         1,
@@ -171,7 +126,7 @@ fn lane_id_instruction_provides_global_ids() {
             VInst::Scatter {
                 src: 0,
                 data: 1,
-                indices: 0,
+                addr: Addr::Indexed(0),
             },
         ],
     )

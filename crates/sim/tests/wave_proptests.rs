@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use tm_fpu::{compute, FpOp, Operands, ALL_OPS};
-use tm_sim::{ComputeUnit, DeviceConfig, VReg, WaveCtx};
+use tm_sim::{ComputeUnit, DeviceConfig};
 
 fn finite() -> impl Strategy<Value = f32> {
     prop::num::f32::NORMAL | prop::num::f32::ZERO
@@ -25,16 +25,9 @@ proptest! {
         let lanes = a.len();
         let config = DeviceConfig::builder().with_compute_units(1).build().unwrap();
         let mut cu = ComputeUnit::new(&config, 0);
-        let mut ctx = WaveCtx::new(&mut cu, (0..lanes).collect());
-        let ra = VReg::from_vec(a.clone());
-        let rb = VReg::splat(lanes, b0);
-        let rc = VReg::splat(lanes, c0);
-
-        let out = match op.arity() {
-            1 => ctx.alu(op, &[&ra]),
-            2 => ctx.alu(op, &[&ra, &rb]),
-            _ => ctx.alu(op, &[&ra, &rb, &rc]),
-        };
+        let (rb, rc) = (vec![b0; lanes], vec![c0; lanes]);
+        let srcs: [&[f32]; 3] = [&a, &rb, &rc];
+        let out = cu.issue_vector(op, &srcs[..op.arity()], &vec![true; lanes]);
         for (l, &x) in a.iter().enumerate() {
             let operands = match op.arity() {
                 1 => Operands::unary(x),
@@ -52,11 +45,8 @@ proptest! {
         let lanes = mask.len();
         let config = DeviceConfig::builder().with_compute_units(1).build().unwrap();
         let mut cu = ComputeUnit::new(&config, 0);
-        let mut ctx = WaveCtx::new(&mut cu, (0..lanes).collect());
-        ctx.push_mask(&mask);
-        let x = VReg::from_fn(lanes, |l| l as f32 + 1.0);
-        let out = ctx.sqrt(&x);
-        ctx.pop_mask();
+        let x: Vec<f32> = (0..lanes).map(|l| l as f32 + 1.0).collect();
+        let out = cu.issue_vector(FpOp::Sqrt, &[&x], &mask);
         let active = mask.iter().filter(|&&m| m).count() as u64;
         for (l, &m) in mask.iter().enumerate() {
             if m {

@@ -7,7 +7,7 @@
 //! cargo run --release --example locality_analysis
 //! ```
 
-use temporal_memo::kernels::sobel::SobelKernel;
+use temporal_memo::kernels::ir::sobel_program;
 use temporal_memo::prelude::*;
 use temporal_memo::sim::locality::{operand_entropy_bits, summarize, StackDistanceProfile};
 use temporal_memo::{image::synth, sim::TraceEvent};
@@ -18,7 +18,8 @@ fn main() {
         .with_compute_units(1)
         .with_trace_depth(2_000_000).build().unwrap();
     let mut device = Device::new(config);
-    let _ = SobelKernel::new(&input).run(&mut device);
+    let mut ip = sobel_program(&input);
+    device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
 
     let events: Vec<TraceEvent> = device.trace_events().copied().collect();
     println!("traced {} lane instructions of Sobel on a 128x128 face\n", events.len());

@@ -7,8 +7,9 @@
 //! cargo run --release --example option_pricing
 //! ```
 
-use temporal_memo::kernels::binomial::{binomial_f64, BinomialKernel, OptionSpec};
-use temporal_memo::kernels::black_scholes::{black_scholes_f64, BlackScholesKernel, OptionBatch};
+use temporal_memo::kernels::binomial::{binomial_f64, OptionSpec};
+use temporal_memo::kernels::black_scholes::{black_scholes_f64, OptionBatch};
+use temporal_memo::kernels::ir::{binomial_program, black_scholes_program};
 use temporal_memo::prelude::*;
 
 fn main() {
@@ -17,7 +18,9 @@ fn main() {
     // --- Black–Scholes ---------------------------------------------------
     let batch = OptionBatch::generate(2048, seed);
     let mut device = Device::new(DeviceConfig::default());
-    let (calls, puts) = BlackScholesKernel::new(&batch).run(&mut device);
+    let mut ip = black_scholes_program(&batch);
+    device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+    let (calls, puts) = (ip.bindings.buffer(5), ip.bindings.buffer(6));
     let report = device.report();
 
     let mut worst = 0.0f64;
@@ -48,7 +51,9 @@ fn main() {
     let options = OptionSpec::generate(256, seed);
     let steps = 20; // the paper's Table-1 input parameter
     let mut device = Device::new(DeviceConfig::default());
-    let prices = BinomialKernel::new(&options, steps).run(&mut device);
+    let mut ip = binomial_program(&options, steps, device.config().wavefront_size);
+    device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+    let prices = ip.take_output();
     let report = device.report();
 
     let mut worst = 0.0f64;

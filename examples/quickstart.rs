@@ -1,4 +1,4 @@
-//! Quickstart: run a tiny kernel on the simulated GPGPU with and without
+//! Quickstart: run a tiny vector program on the simulated GPGPU with and without
 //! temporal memoization, inject timing errors, and compare what happens.
 //!
 //! ```text
@@ -7,42 +7,34 @@
 
 use temporal_memo::prelude::*;
 
-/// `y[i] = 1 / sqrt(x[i] + 1)` — a little pipeline of ADD → RSQ.
-struct InvSqrtKernel {
-    input: Vec<f32>,
-    output: Vec<f32>,
-}
-
-impl Kernel for InvSqrtKernel {
-    fn name(&self) -> &'static str {
-        "inv_sqrt"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let x = VReg::from_fn(ctx.lanes(), |l| self.input[ctx.lane_ids()[l]]);
-        let one = ctx.splat(1.0);
-        let xp1 = ctx.add(&x, &one);
-        let y = ctx.rsq(&xp1);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.output[gid] = y[l];
-        }
-    }
+/// `y[i] = 1 / sqrt(x[i] + 1)` — a little pipeline of ADD → RSQ, with
+/// `x` in buffer 0 and `y` written to buffer 1.
+fn inv_sqrt() -> VProgram {
+    VProgram::new(
+        2,
+        vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Alu { op: FpOp::Add, dst: 1, srcs: vec![Src::Reg(0), Src::Imm(1.0)] },
+            VInst::Alu { op: FpOp::RecipSqrt, dst: 1, srcs: vec![Src::Reg(1)] },
+            VInst::Scatter { src: 1, data: 1, addr: Addr::Gid },
+        ],
+    )
+    .expect("well-formed program")
+    .with_name("inv_sqrt")
 }
 
 fn run(arch: ArchMode, error_rate: f64, n: usize) -> (Vec<f32>, DeviceReport) {
     // Low-entropy input: sensor-style readings quantized to 16 levels —
     // the kind of data-parallel value locality the paper exploits.
-    let mut kernel = InvSqrtKernel {
-        input: (0..n).map(|i| ((i * 7) % 16) as f32).collect(),
-        output: vec![0.0; n],
-    };
+    let input = (0..n).map(|i| ((i * 7) % 16) as f32).collect();
+    let mut bindings = Bindings::new(vec![input, vec![0.0; n]]);
     let config = DeviceConfig::builder()
         .with_arch(arch)
         .with_error_mode(ErrorMode::FixedRate(error_rate))
         .with_seed(42).build().unwrap();
     let mut device = Device::new(config);
-    device.run(&mut kernel, n);
-    (kernel.output, device.report())
+    device.run_program(&inv_sqrt(), &mut bindings, n, 1);
+    (bindings.buffer(1).to_vec(), device.report())
 }
 
 fn main() {

@@ -11,7 +11,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 use temporal_memo::image::{psnr, sobel_reference, synth, write_pgm, GrayImage};
-use temporal_memo::kernels::sobel::SobelKernel;
+use temporal_memo::kernels::ir::sobel_program;
 use temporal_memo::kernels::GRAY_LEVELS_PER_THRESHOLD_UNIT;
 use temporal_memo::prelude::*;
 
@@ -37,7 +37,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         let gray = paper_t * GRAY_LEVELS_PER_THRESHOLD_UNIT;
         let config = DeviceConfig::builder().with_policy(MatchPolicy::threshold(gray)).build().unwrap();
         let mut device = Device::new(config);
-        let out = SobelKernel::new(&input).run(&mut device);
+        let mut ip = sobel_program(&input);
+        device.run_program(&ip.program, &mut ip.bindings, ip.global_size, 1);
+        let out = GrayImage::from_vec(side, side, ip.take_output());
         let report = device.report();
         let name = format!("sobel_t{paper_t:.1}.pgm");
         save(&out, &out_dir, &name)?;

@@ -7,7 +7,7 @@
 //! cargo run --release --example voltage_overscaling
 //! ```
 
-use temporal_memo::kernels::haar::run_haar;
+use temporal_memo::kernels::ir::haar_on_device;
 use temporal_memo::prelude::*;
 
 fn total_energy(arch: ArchMode, vdd: f64, signal: &[f32]) -> (f64, u64, u64) {
@@ -17,7 +17,7 @@ fn total_energy(arch: ArchMode, vdd: f64, signal: &[f32]) -> (f64, u64, u64) {
         .with_vdd(vdd)
         .with_seed(2014).build().unwrap();
     let mut device = Device::new(config);
-    let _ = run_haar(&mut device, signal);
+    let _ = haar_on_device(&mut device, signal, 1);
     let report = device.report();
     let masked = report.total_stats().masked_errors;
     (report.total_energy_pj(), report.recoveries, masked)

@@ -30,35 +30,23 @@
 //! use temporal_memo::prelude::*;
 //!
 //! // A kernel: y[i] = sqrt(x[i]) over a low-entropy input.
-//! struct SqrtKernel {
-//!     input: Vec<f32>,
-//!     output: Vec<f32>,
-//! }
-//!
-//! impl Kernel for SqrtKernel {
-//!     fn name(&self) -> &'static str {
-//!         "sqrt"
-//!     }
-//!     fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-//!         let x = VReg::from_fn(ctx.lanes(), |l| self.input[ctx.lane_ids()[l]]);
-//!         let y = ctx.sqrt(&x);
-//!         for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-//!             self.output[gid] = y[l];
-//!         }
-//!     }
-//! }
+//! let sqrt = VProgram::new(1, vec![
+//!     VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+//!     VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Reg(0)] },
+//!     VInst::Scatter { src: 0, data: 1, addr: Addr::Gid },
+//! ])
+//! .unwrap()
+//! .with_name("sqrt");
 //!
 //! let n = 1024;
-//! let mut kernel = SqrtKernel {
-//!     input: (0..n).map(|i| (i % 8) as f32).collect(), // 8 distinct values
-//!     output: vec![0.0; n],
-//! };
+//! let input = (0..n).map(|i| (i % 8) as f32).collect(); // 8 distinct values
+//! let mut bindings = Bindings::new(vec![input, vec![0.0; n]]);
 //! let mut device = Device::new(DeviceConfig::default());
-//! device.run(&mut kernel, n);
+//! device.run_program(&sqrt, &mut bindings, n, 1);
 //!
 //! let report = device.report();
 //! assert!(report.weighted_hit_rate() > 0.5, "low-entropy input memoizes");
-//! assert_eq!(kernel.output[4], 2.0);
+//! assert_eq!(bindings.buffer(1)[4], 2.0);
 //! ```
 //!
 //! See `examples/` for the Sobel image pipeline, the voltage-overscaling

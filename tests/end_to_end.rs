@@ -1,31 +1,22 @@
 //! Cross-crate integration tests through the `temporal_memo` facade:
-//! a custom kernel, architectural transparency, error masking, and
-//! reproducibility.
+//! a custom vector program, architectural transparency, error masking,
+//! and reproducibility.
 
 use temporal_memo::prelude::*;
 
-/// `y = a*x + b` elementwise — a SAXPY-style kernel.
-struct Saxpy {
-    a: f32,
-    b: f32,
-    x: Vec<f32>,
-    y: Vec<f32>,
-}
-
-impl Kernel for Saxpy {
-    fn name(&self) -> &'static str {
-        "saxpy"
-    }
-
-    fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-        let x = VReg::from_fn(ctx.lanes(), |l| self.x[ctx.lane_ids()[l]]);
-        let a = ctx.splat(self.a);
-        let b = ctx.splat(self.b);
-        let y = ctx.muladd(&a, &x, &b);
-        for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-            self.y[gid] = y[l];
-        }
-    }
+/// `y = a*x + b` elementwise — a SAXPY-style program: `x` in buffer 0,
+/// `y` out through buffer 1.
+fn saxpy(a: f32, b: f32) -> VProgram {
+    VProgram::new(
+        2,
+        vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Alu { op: FpOp::MulAdd, dst: 1, srcs: vec![Src::Imm(a), Src::Reg(0), Src::Imm(b)] },
+            VInst::Scatter { src: 1, data: 1, addr: Addr::Gid },
+        ],
+    )
+    .unwrap()
+    .with_name("saxpy")
 }
 
 fn saxpy_input(n: usize) -> Vec<f32> {
@@ -33,15 +24,10 @@ fn saxpy_input(n: usize) -> Vec<f32> {
 }
 
 fn run_saxpy(config: DeviceConfig, n: usize) -> (Vec<f32>, tm_sim::DeviceReport) {
-    let mut kernel = Saxpy {
-        a: 2.0,
-        b: 1.0,
-        x: saxpy_input(n),
-        y: vec![0.0; n],
-    };
+    let mut bindings = Bindings::new(vec![saxpy_input(n), vec![0.0; n]]);
     let mut device = Device::new(config);
-    device.run(&mut kernel, n);
-    (kernel.y, device.report())
+    device.run_program(&saxpy(2.0, 1.0), &mut bindings, n, 1);
+    (bindings.buffer(1).to_vec(), device.report())
 }
 
 #[test]
@@ -117,40 +103,29 @@ fn power_gated_module_behaves_like_baseline_with_lut_idle() {
 
 #[test]
 fn divergent_control_flow_composes_with_memoization() {
-    /// Clamps negative inputs to zero using a mask, then takes a sqrt.
-    struct ClampSqrt {
-        x: Vec<f32>,
-        y: Vec<f32>,
-    }
-    impl Kernel for ClampSqrt {
-        fn name(&self) -> &'static str {
-            "clamp_sqrt"
-        }
-        fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-            let x = VReg::from_fn(ctx.lanes(), |l| self.x[ctx.lane_ids()[l]]);
-            let nonneg: Vec<bool> = x.iter().map(|v| v >= 0.0).collect();
-            let mut y = vec![0.0f32; ctx.lanes()];
-            ctx.push_mask(&nonneg);
-            let r = ctx.sqrt(&x);
-            ctx.pop_mask();
-            for l in 0..ctx.lanes() {
-                y[l] = if nonneg[l] { r[l] } else { 0.0 };
-            }
-            for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-                self.y[gid] = y[l];
-            }
-        }
-    }
+    // Clamps negative inputs to zero using a mask, then takes a sqrt:
+    // masked lanes keep their zero-initialized register.
+    let clamp_sqrt = VProgram::new(
+        3,
+        vec![
+            VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+            VInst::Gather { dst: 1, data: 1, addr: Addr::Gid },
+            VInst::PushMask { mask: 1 },
+            VInst::Alu { op: FpOp::Sqrt, dst: 2, srcs: vec![Src::Reg(0)] },
+            VInst::PopMask,
+            VInst::Scatter { src: 2, data: 2, addr: Addr::Gid },
+        ],
+    )
+    .unwrap();
     let n = 256;
-    let mut kernel = ClampSqrt {
-        x: (0..n).map(|i| i as f32 - 128.0).collect(),
-        y: vec![0.0; n],
-    };
+    let x: Vec<f32> = (0..n).map(|i| i as f32 - 128.0).collect();
+    let nonneg = x.iter().map(|&v| f32::from(u8::from(v >= 0.0))).collect();
+    let mut bindings = Bindings::new(vec![x, nonneg, vec![0.0; n]]);
     let mut device = Device::new(DeviceConfig::default());
-    device.run(&mut kernel, n);
+    device.run_program(&clamp_sqrt, &mut bindings, n, 1);
     for i in 0..n {
         let x = i as f32 - 128.0;
         let expect = if x >= 0.0 { x.sqrt() } else { 0.0 };
-        assert_eq!(kernel.y[i], expect, "lane {i}");
+        assert_eq!(bindings.buffer(2)[i], expect, "lane {i}");
     }
 }

@@ -79,29 +79,24 @@ proptest! {
         error_pct in 0u8..30,
         seed in any::<u64>(),
     ) {
-        struct Square {
-            x: Vec<f32>,
-            y: Vec<f32>,
-        }
-        impl Kernel for Square {
-            fn name(&self) -> &'static str { "square" }
-            fn execute(&mut self, ctx: &mut WaveCtx<'_>) {
-                let x = VReg::from_fn(ctx.lanes(), |l| self.x[ctx.lane_ids()[l]]);
-                let y = ctx.mul(&x, &x);
-                for (l, &gid) in ctx.lane_ids().to_vec().iter().enumerate() {
-                    self.y[gid] = y[l];
-                }
-            }
-        }
+        let square = VProgram::new(
+            1,
+            vec![
+                VInst::Gather { dst: 0, data: 0, addr: Addr::Gid },
+                VInst::Alu { op: FpOp::Mul, dst: 0, srcs: vec![Src::Reg(0), Src::Reg(0)] },
+                VInst::Scatter { src: 0, data: 1, addr: Addr::Gid },
+            ],
+        )
+        .unwrap();
         let x: Vec<f32> = input.iter().map(|&v| f32::from(v)).collect();
         let n = x.len();
         let config = DeviceConfig::builder()
             .with_error_mode(ErrorMode::FixedRate(f64::from(error_pct) / 100.0))
             .with_seed(seed).build().unwrap();
-        let mut kernel = Square { x: x.clone(), y: vec![0.0; n] };
+        let mut bindings = Bindings::new(vec![x.clone(), vec![0.0; n]]);
         let mut device = Device::new(config);
-        device.run(&mut kernel, n);
-        for (yi, xi) in kernel.y.iter().zip(x.iter()) {
+        device.run_program(&square, &mut bindings, n, 1);
+        for (yi, xi) in bindings.buffer(1).iter().zip(x.iter()) {
             prop_assert_eq!(*yi, xi * xi);
         }
         let report = device.report();
