@@ -2,9 +2,10 @@
 //! (and the architecture's energy advantage) erodes as the compute unit
 //! interleaves more wavefronts.
 //!
-//! The closure-based simulator executes wavefronts serially; real
-//! Evergreen ALU engines interleave resident wavefronts. This experiment
-//! runs the real Sobel program (see [`tm_kernels::ir`]) through
+//! The paper's figures run one wavefront at a time per compute unit
+//! (`in_flight = 1`); real Evergreen ALU engines interleave resident
+//! wavefronts. This experiment runs the Sobel program (see
+//! [`tm_kernels::ir`]) through
 //! [`tm_sim::Device::run_program`] at increasing interleaving depths.
 //!
 //! The direction of the effect is workload-dependent — a measured finding

@@ -498,9 +498,9 @@ impl ComputeUnit {
         );
         // Owned events in lane order (same cursor merge as the full walk,
         // restricted to the shard's runs).
-        for lane in 0..lanes {
+        for (lane, &on) in active.iter().enumerate() {
             let sc = lane % num_scs;
-            if active[lane] && sc_range.contains(&sc) {
+            if on && sc_range.contains(&sc) {
                 let cursor = &mut cursors[sc - sc_range.start];
                 journal.events.push(events[*cursor]);
                 *cursor += 1;
