@@ -133,9 +133,10 @@ pub struct CompiledProgram {
     /// Registers read (or masked-written) before their first full
     /// write — the only ones a fresh wavefront must zero-initialize.
     zero_regs: Vec<VReg8>,
-    /// No scatter targets an index buffer, so per-launch index caches
-    /// are sound.
-    static_indices: bool,
+    /// The index buffers converted to `usize` once per launch: every one
+    /// the program addresses through, when no scatter targets any of them
+    /// (the addressing is static), else none.
+    cached_indices: Vec<BufferId>,
     exp_chains: usize,
 }
 
@@ -264,14 +265,21 @@ impl CompiledProgram {
         }
 
         let scattered: BTreeSet<BufferId> = scatters.iter().map(|s| s.data).collect();
-        let static_indices = frees
+        let index_buffers: BTreeSet<BufferId> = frees
             .iter()
             .filter_map(|f| match f {
                 FreeStep::Gather { addr, .. } => addr.index_buffer(),
                 _ => None,
             })
             .chain(scatters.iter().filter_map(|s| s.addr.index_buffer()))
-            .all(|ids| !scattered.contains(&ids));
+            .collect();
+        // A scatter that rewrites addressing mid-launch makes every cache
+        // unsound.
+        let cached_indices = if index_buffers.is_disjoint(&scattered) {
+            index_buffers.into_iter().collect()
+        } else {
+            Vec::new()
+        };
 
         Self {
             zero_regs: regs_needing_zero(program.instructions(), program.registers()),
@@ -281,7 +289,7 @@ impl CompiledProgram {
             frees,
             scatters,
             imms,
-            static_indices,
+            cached_indices,
             exp_chains,
         }
     }
@@ -473,28 +481,17 @@ impl LaunchState {
     ) -> Self {
         let imm_lanes = compiled.imms.iter().map(|&v| vec![v; max_lanes]).collect();
         let mut index_cache: Vec<Option<Vec<usize>>> = vec![None; bindings.len()];
-        if compiled.static_indices {
-            let used: BTreeSet<BufferId> = compiled
-                .frees
-                .iter()
-                .filter_map(|f| match f {
-                    FreeStep::Gather { addr, .. } => addr.index_buffer(),
-                    _ => None,
-                })
-                .chain(compiled.scatters.iter().filter_map(|s| s.addr.index_buffer()))
-                .collect();
-            for id in used {
-                // Out-of-range or short buffers fall back to live reads,
-                // preserving the uncached panic-on-use semantics (a
-                // fully masked scatter must not panic eagerly).
-                if id < bindings.len() && bindings.buffer(id).len() >= global_size {
-                    index_cache[id] = Some(
-                        bindings.buffer(id)[..global_size]
-                            .iter()
-                            .map(|&x| x as usize)
-                            .collect(),
-                    );
-                }
+        for &id in &compiled.cached_indices {
+            // Out-of-range or short buffers fall back to live reads,
+            // preserving the uncached panic-on-use semantics (a fully
+            // masked scatter must not panic eagerly).
+            if id < bindings.len() && bindings.buffer(id).len() >= global_size {
+                index_cache[id] = Some(
+                    bindings.buffer(id)[..global_size]
+                        .iter()
+                        .map(|&x| x as usize)
+                        .collect(),
+                );
             }
         }
         Self { imm_lanes, index_cache }
@@ -892,7 +889,7 @@ mod tests {
         assert_eq!(cp.packet_count(), 4);
         assert_eq!(cp.alus[2].scatter_len, 1);
         assert_eq!(cp.exp_chains(), 0);
-        assert!(cp.static_indices);
+        assert_eq!(cp.cached_indices, vec![1]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * a [`SharedRecorder`] (via [`crate::Device::attach_recorder`]) for
 //!   **post-hoc tracing** — cycle-stamped spans on the device's *cycle*
 //!   track group (kernel launches and per-wavefront execution, tid =
-//!   compute-unit index), wall-clock spans on the *wall* track group
+//!   compute-unit index; wavefronts of in-flight slot *k* > 0 use track
+//!   `cu + k × CUs`), wall-clock spans on the *wall* track group
 //!   (per-CU worker threads, intra-CU shard tasks, journal merges), and
 //!   named overhead counters (steals, fallbacks);
 //! * a [`TelemetryHub`] (via [`crate::Device::attach_hub`]) for **live
