@@ -1396,7 +1396,7 @@ fn print_obs_demo(cfg: &ExperimentConfig, obs_out: &ObsOut<'_>) {
     );
     let stats = tm_obs::validate_chrome_trace(&out.trace_json)
         .expect("obs-demo trace failed Chrome trace validation");
-    for backend in ["sequential", "parallel", "intra-cu"] {
+    for backend in ["sequential", "parallel"] {
         assert!(
             out.trace_json.contains(&format!("\"backend\":\"{backend}\"")),
             "trace is missing launch spans from the {backend} backend"

@@ -27,7 +27,7 @@
 //! [`tm_rng::SplitMix64`] in (rate-index, trial-index) order, and every
 //! backend produces bit-identical [`DeviceReport`]s, so
 //! [`CampaignOutcome::jsonl`] is **byte-identical** for the same spec
-//! across Sequential/Parallel/IntraCu — the backend is deliberately kept
+//! across Sequential/Parallel — the backend is deliberately kept
 //! out of the JSONL lines. `crates/bench/tests/campaign.rs` pins both
 //! properties.
 

@@ -24,7 +24,7 @@ pub const GATE_FLOOR: f64 = 0.8;
 pub struct GateEntry {
     /// Workload case name (`Sobel`, `Haar`, ...).
     pub case: String,
-    /// Backend label (`sequential`, `parallel`, `intra-cu`).
+    /// Backend label (`sequential`, `parallel`).
     pub backend: String,
     /// Baseline throughput, instructions per second.
     pub baseline_ips: f64,

@@ -1,15 +1,15 @@
 //! `repro --experiment obs-demo`: the end-to-end observability showcase.
 //!
 //! Runs the Sobel workload once per execution backend (sequential,
-//! parallel, intra-CU) on a 2-CU device with a shared span recorder and a
+//! parallel) on a 2-CU device with a shared span recorder and a
 //! windowed metrics sink attached, then exports:
 //!
 //! - a Chrome trace-event JSON document (Perfetto-loadable) with the
 //!   device launch spans, per-wavefront cycle spans and host-side engine
-//!   self-profiling spans of all three backends, and
+//!   self-profiling spans of both backends, and
 //! - a JSONL metrics dump: per-CU, per-op time-windowed hit rate, error /
 //!   masked / recovery counts and energy, plus the engines' overhead
-//!   counters (steals, fallbacks).
+//!   counters (fallbacks).
 //!
 //! Each traced run is paired with a plain run (no recorder, no metrics
 //! sink) and the [`tm_sim::DeviceReport`]s and kernel outputs are
@@ -175,7 +175,7 @@ mod tests {
 
         let stats = validate_chrome_trace(&out.trace_json).expect("trace must validate");
         assert_eq!(stats.spans * 2, stats.events);
-        for backend in ["sequential", "parallel", "intra-cu"] {
+        for backend in ["sequential", "parallel"] {
             assert!(
                 out.trace_json.contains(&format!("\"backend\":\"{backend}\"")),
                 "trace must carry launch spans from the {backend} backend"

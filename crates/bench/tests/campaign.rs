@@ -23,11 +23,7 @@ fn small_spec() -> CampaignSpec {
 #[test]
 fn campaign_jsonl_is_byte_identical_across_backends() {
     let mut outputs = Vec::new();
-    for backend in [
-        ExecBackend::Sequential,
-        ExecBackend::Parallel,
-        ExecBackend::IntraCu,
-    ] {
+    for backend in [ExecBackend::Sequential, ExecBackend::Parallel] {
         let spec = CampaignSpec {
             backend,
             ..small_spec()
@@ -44,19 +40,14 @@ fn campaign_jsonl_is_byte_identical_across_backends() {
 
 #[test]
 fn sharded_campaign_concatenates_byte_identically_on_every_backend() {
-    // The ISSUE-pinned acceptance: for a fixed seed, the merged shard
-    // JSONLs are byte-identical to the monolithic run on all three
-    // backends.
+    // For a fixed seed, the merged shard JSONLs are byte-identical to
+    // the monolithic run on both backends.
     let meta = tm_obs::RunMeta {
         git_rev: Some("abc1234".into()),
         host_cores: 4,
         timestamp: Some("2026-08-08T00:00:00Z".into()),
     };
-    for backend in [
-        ExecBackend::Sequential,
-        ExecBackend::Parallel,
-        ExecBackend::IntraCu,
-    ] {
+    for backend in [ExecBackend::Sequential, ExecBackend::Parallel] {
         let spec = CampaignSpec {
             backend,
             ..small_spec()

@@ -1,27 +1,20 @@
-//! Backend determinism suite: the parallel and intra-CU engines must
-//! reproduce the sequential engine **bit for bit** — outputs *and* the
-//! full [`tm_sim::DeviceReport`] (floating-point energy sums included) —
-//! for every workload, CU count, shard count, and error regime, because
-//! the wavefront→CU schedule, each CU's wavefront order, and the
-//! lane-ordered merge of intra-CU shard journals are engine-invariant.
+//! Backend determinism suite: the parallel engine must reproduce the
+//! sequential engine **bit for bit** — outputs *and* the full
+//! [`tm_sim::DeviceReport`] (floating-point energy sums included) — for
+//! every workload, CU count and error regime, because the wavefront→CU
+//! schedule and each CU's wavefront order are engine-invariant.
 
 use tm_kernels::ir::{fwt_stage_program, sobel_program};
 use tm_kernels::{workload, Scale, ALL_KERNELS};
-use tm_sim::{Device, DeviceConfig, DeviceConfigBuilder, ErrorMode, ExecBackend};
+use tm_sim::{Device, DeviceConfig, ErrorMode, ExecBackend};
 
-/// The backend sweep: sequential reference, CU-level parallelism, and
-/// stream-core-level sharding with a pinned shard count (pinned so the
-/// test exercises real sharding even on a single-core host, where the
-/// auto-sized engine would resolve to one shard and delegate).
+/// The backend sweep: the sequential reference, then CU-level
+/// parallelism.
 fn backend_configs(cfg_base: &DeviceConfig) -> Vec<DeviceConfig> {
-    let derive = |b: fn(DeviceConfigBuilder) -> DeviceConfigBuilder| {
-        b(cfg_base.clone().rebuild()).build().unwrap()
-    };
-    vec![
-        derive(|b| b.with_backend(ExecBackend::Sequential)),
-        derive(|b| b.with_backend(ExecBackend::Parallel)),
-        derive(|b| b.with_intra_cu_shards(4)),
-    ]
+    [ExecBackend::Sequential, ExecBackend::Parallel]
+        .into_iter()
+        .map(|b| cfg_base.clone().rebuild().with_backend(b).build().unwrap())
+        .collect()
 }
 
 /// Runs one workload on all backends over `cus` compute units and
@@ -53,8 +46,6 @@ fn assert_backends_agree(cfg_base: DeviceConfig, cus: usize) {
 
 #[test]
 fn backends_agree_on_1_cu() {
-    // The single-CU configuration is the one only the intra-CU backend
-    // can speed up — and the one where its merge must be airtight.
     assert_backends_agree(DeviceConfig::default(), 1);
 }
 
@@ -77,8 +68,7 @@ fn backends_agree_on_8_cus() {
 fn backends_agree_under_error_injection() {
     // A nonzero error rate exercises the per-SC injector RNG streams and
     // the ECU recovery accounting; the streams are per stream core, so a
-    // lane's EDS verdict is identical whichever thread (or shard) runs
-    // it.
+    // lane's EDS verdict is identical whichever thread runs it.
     let cfg = DeviceConfig::builder().with_error_mode(ErrorMode::FixedRate(0.05)).build().unwrap();
     assert_backends_agree(cfg, 4);
 }
@@ -86,50 +76,17 @@ fn backends_agree_under_error_injection() {
 #[test]
 fn backends_agree_with_locality_tracking() {
     // The online locality sink rides the same event pipeline; its state
-    // is per-CU and the intra-CU replay feeds it the same lane-ordered
-    // event stream a sequential walk would.
+    // is per-CU, so each worker feeds it the same lane-ordered event
+    // stream a sequential walk would.
     let cfg = DeviceConfig::builder().with_locality_tracking().build().unwrap();
     assert_backends_agree(cfg, 2);
 }
 
 #[test]
-fn intra_cu_results_are_shard_count_invariant() {
-    // The journal merge is keyed by lane, never by shard: any shard
-    // count must reproduce the sequential run exactly, including under
-    // error injection.
-    let base = DeviceConfig::builder()
-        .with_compute_units(2)
-        .with_error_mode(ErrorMode::FixedRate(0.03)).build().unwrap();
-    for id in ALL_KERNELS {
-        let mut reference = None;
-        for shards in [1, 2, 4, 8, 16] {
-            let mut wl = workload::build(id, Scale::Test, 31);
-            let config = base.clone().rebuild().with_intra_cu_shards(shards).build().unwrap();
-            let mut device = Device::new(config);
-            let out = wl.run(&mut device);
-            let report = device.report();
-            match &reference {
-                None => reference = Some((out, report)),
-                Some((ref_out, ref_report)) => {
-                    assert_eq!(
-                        ref_out, &out,
-                        "{id} output must not depend on shard count ({shards})"
-                    );
-                    assert_eq!(
-                        ref_report, &report,
-                        "{id} report must not depend on shard count ({shards})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn parallel_run_program_matches_sequential() {
     // The IR path: the Sobel program is hazard-free (distinct input and
-    // output buffers), so the parallel engines journal its scatters and
-    // replay them in deterministic order.
+    // output buffers), so the parallel engine journals its scatters and
+    // replays them in deterministic order.
     let image = tm_image::synth::face(48, 48, 9);
     let mut results = Vec::new();
     for config in backend_configs(&DeviceConfig::default()) {
@@ -149,9 +106,9 @@ fn fwt_stage_program_stays_parallel_and_matches_sequential() {
     // The FWT butterfly stage is an *in-place* program (gathers and
     // scatters the same buffer), but its per-lane index pairs are
     // disjoint, so the dependence-aware splitter proves the hazard
-    // lane-private and the parallel engines need not fall back. A full
+    // lane-private and the parallel engine need not fall back. A full
     // multi-stage transform (data fed back between stages) must still be
-    // bit-identical across all backends, with error injection on.
+    // bit-identical across both backends, with error injection on.
     let n = 512usize;
     let seed_data: Vec<f32> = (0..n).map(|i| ((i * 13 + 5) % 41) as f32 - 20.0).collect();
     let base = DeviceConfig::builder()
@@ -193,22 +150,17 @@ fn parallel_backend_reports_nonzero_work() {
     // Guard against the degenerate "both empty" equality: the parallel
     // runs above must actually have executed instructions and injected
     // errors where configured.
-    for backend in [ExecBackend::Parallel, ExecBackend::IntraCu] {
-        let mut wl = workload::build(tm_kernels::KernelId::Sobel, Scale::Test, 77);
-        let mut config = DeviceConfig::builder()
-            .with_compute_units(4)
-            .with_backend(backend)
-            .with_error_mode(ErrorMode::FixedRate(0.05))
-            .build()
-            .unwrap();
-        if backend == ExecBackend::IntraCu {
-            config = config.rebuild().with_intra_cu_shards(4).build().unwrap();
-        }
-        let mut device = Device::new(config);
-        let _ = wl.run(&mut device);
-        let report = device.report();
-        assert!(report.total_instructions() > 0);
-        assert!(report.errors_injected > 0);
-        assert!(report.total_energy_pj() > 0.0);
-    }
+    let mut wl = workload::build(tm_kernels::KernelId::Sobel, Scale::Test, 77);
+    let config = DeviceConfig::builder()
+        .with_compute_units(4)
+        .with_backend(ExecBackend::Parallel)
+        .with_error_mode(ErrorMode::FixedRate(0.05))
+        .build()
+        .unwrap();
+    let mut device = Device::new(config);
+    let _ = wl.run(&mut device);
+    let report = device.report();
+    assert!(report.total_instructions() > 0);
+    assert!(report.errors_injected > 0);
+    assert!(report.total_energy_pj() > 0.0);
 }

@@ -1,8 +1,8 @@
 //! Error-model determinism suite: every [`ErrorModelSpec`] must produce
-//! bit-identical outputs and [`DeviceReport`]s across all three
-//! execution backends, because each model's per-stream-core sampler is
-//! a pure function of (CU seed, stream core index, issue count in that
-//! SC) — never of which host thread or shard runs the lane.
+//! bit-identical outputs and [`DeviceReport`]s across both execution
+//! backends, because each model's per-stream-core sampler is a pure
+//! function of (CU seed, stream core index, issue count in that SC) —
+//! never of which host thread runs the lane.
 
 use tm_kernels::{workload, KernelId, Scale};
 use tm_sim::prelude::*;
@@ -19,8 +19,8 @@ fn model_specs() -> Vec<ErrorModelSpec> {
     ]
 }
 
-fn run_one(spec: &ErrorModelSpec, backend: ExecBackend, shards: usize) -> (Vec<u32>, DeviceReport) {
-    let mut builder = DeviceConfig::builder()
+fn run_one(spec: &ErrorModelSpec, backend: ExecBackend) -> (Vec<u32>, DeviceReport) {
+    let config = DeviceConfig::builder()
         .with_compute_units(2)
         .with_error_mode(ErrorMode::FixedRate(0.02))
         .with_error_model(spec.clone())
@@ -29,11 +29,9 @@ fn run_one(spec: &ErrorModelSpec, backend: ExecBackend, shards: usize) -> (Vec<u
         // sits well past the error onset and genuinely injects.
         .with_vdd(0.80)
         .with_seed(0x5eed)
-        .with_backend(backend);
-    if shards > 0 {
-        builder = builder.with_intra_cu_shards(shards);
-    }
-    let config = builder.build().unwrap();
+        .with_backend(backend)
+        .build()
+        .unwrap();
     let mut wl = workload::build(KernelId::Sobel, Scale::Test, 77);
     let mut device = Device::new(config);
     let out = wl.run(&mut device);
@@ -43,28 +41,23 @@ fn run_one(spec: &ErrorModelSpec, backend: ExecBackend, shards: usize) -> (Vec<u
 #[test]
 fn every_model_is_backend_invariant() {
     for spec in model_specs() {
-        let (ref_out, ref_report) = run_one(&spec, ExecBackend::Sequential, 0);
+        let (ref_out, ref_report) = run_one(&spec, ExecBackend::Sequential);
         assert!(
             ref_report.errors_injected > 0,
             "{} must actually inject at 2% rate",
             spec.name()
         );
-        for (label, backend, shards) in [
-            ("parallel", ExecBackend::Parallel, 0),
-            ("intra-cu", ExecBackend::IntraCu, 4),
-        ] {
-            let (out, report) = run_one(&spec, backend, shards);
-            assert_eq!(
-                ref_out, out,
-                "{} output must be bit-identical on the {label} backend",
-                spec.name()
-            );
-            assert_eq!(
-                ref_report, report,
-                "{} DeviceReport must be bit-identical on the {label} backend",
-                spec.name()
-            );
-        }
+        let (out, report) = run_one(&spec, ExecBackend::Parallel);
+        assert_eq!(
+            ref_out, out,
+            "{} output must be bit-identical on the parallel backend",
+            spec.name()
+        );
+        assert_eq!(
+            ref_report, report,
+            "{} DeviceReport must be bit-identical on the parallel backend",
+            spec.name()
+        );
     }
 }
 
@@ -75,7 +68,7 @@ fn models_produce_distinct_error_streams() {
     // injected-error count.
     let counts: Vec<u64> = model_specs()
         .iter()
-        .map(|spec| run_one(spec, ExecBackend::Sequential, 0).1.errors_injected)
+        .map(|spec| run_one(spec, ExecBackend::Sequential).1.errors_injected)
         .collect();
     let mut unique = counts.clone();
     unique.sort_unstable();
@@ -89,8 +82,8 @@ fn models_produce_distinct_error_streams() {
 #[test]
 fn same_seed_reproduces_and_seeds_decorrelate() {
     let spec = ErrorModelSpec::Heterogeneous(HeterogeneousErrors::quartile_corners());
-    let (out_a, rep_a) = run_one(&spec, ExecBackend::Sequential, 0);
-    let (out_b, rep_b) = run_one(&spec, ExecBackend::Sequential, 0);
+    let (out_a, rep_a) = run_one(&spec, ExecBackend::Sequential);
+    let (out_b, rep_b) = run_one(&spec, ExecBackend::Sequential);
     assert_eq!(out_a, out_b);
     assert_eq!(rep_a, rep_b);
 

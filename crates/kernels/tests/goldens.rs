@@ -5,7 +5,7 @@
 //! kernels at `Scale::Test` (seed 33) on a two-CU device, clean and under
 //! a 2% fixed timing-error rate, on every execution backend. Reports are
 //! backend-invariant by contract, so one digest pair per (kernel,
-//! injection) covers all three backends.
+//! injection) covers both backends.
 //!
 //! The digests were recorded from the host-closure kernels that the
 //! vector programs replaced; a change that alters any simulated bit of
@@ -16,11 +16,7 @@ use tm_sim::prelude::*;
 
 const SEED: u64 = 33;
 
-const BACKENDS: [ExecBackend; 3] = [
-    ExecBackend::Sequential,
-    ExecBackend::Parallel,
-    ExecBackend::IntraCu,
-];
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::Sequential, ExecBackend::Parallel];
 
 /// `(kernel, injected, report digest, output digest)`.
 const GOLDENS: [(KernelId, bool, u64, u64); 14] = [
@@ -121,9 +117,6 @@ fn config(backend: ExecBackend, inject: bool) -> DeviceConfig {
         .with_compute_units(2)
         .with_seed(0x1D)
         .with_backend(backend);
-    if backend == ExecBackend::IntraCu {
-        builder = builder.with_intra_cu_shards(4);
-    }
     if inject {
         builder = builder.with_error_mode(ErrorMode::FixedRate(0.02));
     }

@@ -256,11 +256,11 @@ mod tests {
         s.args = vec![
             ("lanes".to_string(), ArgValue::U64(64)),
             ("rate".to_string(), ArgValue::F64(0.5)),
-            ("backend".to_string(), ArgValue::Str("intra-cu".to_string())),
+            ("backend".to_string(), ArgValue::Str("parallel".to_string())),
             ("ok".to_string(), ArgValue::Bool(true)),
         ];
         let json = export_chrome_trace(&[s]);
         validate_chrome_trace(&json).unwrap();
-        assert!(json.contains(r#""args":{"lanes":64,"rate":0.5,"backend":"intra-cu","ok":true}"#));
+        assert!(json.contains(r#""args":{"lanes":64,"rate":0.5,"backend":"parallel","ok":true}"#));
     }
 }

@@ -99,7 +99,7 @@ pub enum Metric {
 /// A name-keyed collection of [`Metric`]s.
 ///
 /// Names are free-form; the convention used across the workspace is
-/// dot-separated components, e.g. `intra_cu.steals`.
+/// dot-separated components, e.g. `engine.fallback_to_sequential`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,

@@ -5,7 +5,7 @@
 //! cycle-stamped (simulated cycles), distinguished only by which track its
 //! `pid` belongs to. [`Recorder`] collects spans and named overhead
 //! counters; [`SharedRecorder`] wraps it in `Arc<Mutex<..>>` so the
-//! parallel engines can record from worker threads.
+//! parallel engine can record from worker threads.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -29,10 +29,10 @@ pub enum ArgValue {
 /// One completed duration event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// Event name (e.g. `kernel:sobel`, `cu0:merge`).
+    /// Event name (e.g. `kernel:sobel`, `cu0:worker`).
     pub name: String,
     /// Category, used by trace viewers for filtering (e.g. `kernel`,
-    /// `intra-cu`, `wavefront`).
+    /// `parallel`, `wavefront`).
     pub cat: String,
     /// Track group. The convention is one pid per clock domain per device
     /// (wall-clock vs simulated cycles), allocated via

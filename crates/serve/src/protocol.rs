@@ -329,10 +329,11 @@ fn parse_backend(v: &JsonValue) -> Result<ExecBackend, WireError> {
     match v.get_str("backend") {
         None => Ok(ExecBackend::Sequential),
         Some("sequential") => Ok(ExecBackend::Sequential),
-        Some("parallel") => Ok(ExecBackend::Parallel),
-        Some("intra-cu") => Ok(ExecBackend::IntraCu),
+        // The name of a removed backend: clients that still send it get
+        // the parallel backend, whose results are the same.
+        Some("parallel" | "intra-cu") => Ok(ExecBackend::Parallel),
         Some(other) => Err(WireError::bad(format!(
-            "unknown backend {other:?} (expected sequential, parallel or intra-cu)"
+            "unknown backend {other:?} (expected sequential or parallel)"
         ))),
     }
 }
@@ -572,6 +573,16 @@ mod tests {
         assert_eq!(l.seed, 7);
         assert_eq!(l.backend, ExecBackend::Parallel);
         assert!((l.error_rate - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn legacy_intra_cu_backend_runs_on_parallel() {
+        let e = parse_request(r#"{"type":"launch","kernel":"haar","backend":"intra-cu"}"#).unwrap();
+        let Request::Launch(l) = &e.request else { panic!("not a launch") };
+        assert_eq!(l.backend, ExecBackend::Parallel);
+        let err = parse_request(r#"{"type":"launch","kernel":"haar","backend":"gpu"}"#).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.contains("expected sequential or parallel"), "{}", err.message);
     }
 
     #[test]

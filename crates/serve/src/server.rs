@@ -247,7 +247,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     while !shared.stop.load(Ordering::Relaxed) {
-        line.clear();
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()), // client closed
             Ok(_) => {}
@@ -255,17 +254,19 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                continue; // poll the stop flag between reads
+                // Poll the stop flag between reads. `line` keeps what
+                // arrived before the timeout: the next read finishes it.
+                continue;
             }
             Err(e) => return Err(e),
         }
-        if line.trim().is_empty() {
-            continue;
+        if !line.trim().is_empty() {
+            let response = handle_line(line.trim_end(), shared);
+            writer.write_all(response.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
         }
-        let response = handle_line(line.trim_end(), shared);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        line.clear();
     }
     Ok(())
 }

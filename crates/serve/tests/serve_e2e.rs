@@ -47,6 +47,24 @@ fn ping_stats_and_protocol_errors_over_the_wire() {
 }
 
 #[test]
+fn a_request_that_pauses_mid_line_is_answered_whole() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, _hub) = server(ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(br#"{"v":1,"type":"ping","#).expect("send first half");
+    // Longer than the server's read timeout, so its first read times out
+    // holding only the first half of the line.
+    std::thread::sleep(Duration::from_millis(800));
+    stream.write_all(b"\"id\":\"slow\"}\n").expect("send second half");
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("reply");
+    let v = tm_obs::JsonValue::parse(reply.trim_end()).expect("reply parses");
+    assert_eq!(v.get_str("type"), Some("pong"), "reply: {reply}");
+    assert_eq!(v.get_str("id"), Some("slow"));
+    server.stop();
+}
+
+#[test]
 fn identical_jobs_coalesce_into_one_execution_with_identical_responses() {
     let (server, hub) = server(ServerConfig { workers: 1, queue_limit: 8, pool_idle: 2 });
     let addr = server.addr().to_string();
@@ -162,7 +180,9 @@ fn served_campaign_jsonl_is_byte_identical_to_in_process() {
         scale: tm_kernels::Scale::Test,
         trials: 2,
         seed: 99,
-        backend: tm_sim::ExecBackend::IntraCu,
+        // `intra-cu` names a removed backend; the server runs it on
+        // `parallel`, and the JSONL is backend-invariant either way.
+        backend: tm_sim::ExecBackend::Parallel,
         ..CampaignSpec::default()
     };
     let expected = run_campaign(&spec, None).jsonl();

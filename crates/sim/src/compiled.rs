@@ -47,19 +47,19 @@
 //!
 //! Lane order is fixed: every loop here walks lanes `0..lanes` in
 //! ascending order (the stream-core-major issue order lives inside
-//! [`ComputeUnit`]), so all three backends produce byte-identical
+//! [`ComputeUnit`]), so both backends produce byte-identical
 //! [`crate::DeviceReport`]s.
 
-use crate::compute_unit::{ComputeUnit, ShardJournal};
+use crate::compute_unit::ComputeUnit;
 use crate::obs::DeviceObs;
 use crate::program::{Addr, Bindings, BufferId, Grid, Src, VInst, VProgram, VReg8};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use tm_fpu::{FpOp, MAX_ARITY};
 
-/// Lane-ops (`instructions × global_size`) below which the threaded
-/// engines delegate a program launch to the sequential engine: for tiny
-/// launches (a Haar level, an FWT stage) thread spawn plus journal merge
+/// Lane-ops (`instructions × global_size`) below which the parallel
+/// engine delegates a program launch to the sequential engine: for tiny
+/// launches (a Haar level, an FWT stage) thread spawn plus scatter replay
 /// costs more than the work itself — the fwt-ir "parallel cliff".
 pub const SMALL_KERNEL_LANE_OPS: usize = 1 << 18;
 
@@ -402,48 +402,6 @@ pub(crate) struct ScatterWrite {
     pub value: f32,
 }
 
-/// One journaled scatter write with its intra-CU merge key: the scatter
-/// step's ordinal in the CU queue's deterministic interleaving
-/// (identical across shards) and the lane position within the wavefront.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScatterRec {
-    pub ordinal: u32,
-    pub lane: u32,
-    pub data: BufferId,
-    pub index: usize,
-    pub value: f32,
-}
-
-/// Which lanes a queue drain executes, and where their side effects go.
-pub(crate) enum Lanes<'j> {
-    /// Every lane, issuing through the CU's sinks. With a journal,
-    /// scatters are applied to the (local) bindings *and* recorded for
-    /// replay onto the shared bindings.
-    Whole(Option<&'j mut Vec<ScatterWrite>>),
-    /// Only the lanes on the stream cores in `sc_range` (one intra-CU
-    /// shard): ALU events go to the shard journal and scatters to an
-    /// ordinal-keyed log for the deterministic merge.
-    Shard {
-        sc_range: Range<usize>,
-        num_scs: usize,
-        journal: &'j mut ShardJournal,
-        scatters: &'j mut Vec<ScatterRec>,
-        /// Scatter steps executed so far — identical across shards even
-        /// when a shard owns no active lane of a step.
-        ordinal: u32,
-    },
-}
-
-impl Lanes<'_> {
-    /// Whether lane position `lane` of a wavefront is executed here.
-    fn owns(&self, lane: usize) -> bool {
-        match self {
-            Lanes::Whole(_) => true,
-            Lanes::Shard { sc_range, num_scs, .. } => sc_range.contains(&(lane % num_scs)),
-        }
-    }
-}
-
 /// Where a queue drain records its per-wavefront cycle spans: on the
 /// CU's cycle track for in-flight slot 0, and on track
 /// `cu + slot × num_cus` for slot *k* — each slot's wavefronts run back
@@ -553,7 +511,8 @@ struct ExecScratch {
 }
 
 /// Drains one CU's wavefront queue with `in_flight`-way packet
-/// interleaving, executing the lanes `lanes` selects.
+/// interleaving. With a `journal`, every scatter is applied to the
+/// (local) `bindings` *and* recorded for replay onto the shared bindings.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cu_queue(
     cu: &mut ComputeUnit,
@@ -562,13 +521,9 @@ pub(crate) fn run_cu_queue(
     queue: &[Range<usize>],
     bindings: &mut Bindings,
     in_flight: usize,
-    lanes: &mut Lanes<'_>,
+    mut journal: Option<&mut Vec<ScatterWrite>>,
     trace: Option<WaveTrace<'_>>,
 ) {
-    debug_assert!(
-        matches!(lanes, Lanes::Whole(_)) || !compiled.source.has_cross_lane_ops(),
-        "cross-lane programs cannot be lane-sharded"
-    );
     let mut scratch = ExecScratch::default();
     let mut pending = queue.iter().cloned();
     let mut active: Vec<WaveState> = Vec::with_capacity(in_flight);
@@ -580,7 +535,15 @@ pub(crate) fn run_cu_queue(
     while !active.is_empty() {
         let mut i = 0;
         while i < active.len() {
-            step_packet(cu, compiled, launch, &mut active[i], bindings, lanes, &mut scratch);
+            step_packet(
+                cu,
+                compiled,
+                launch,
+                &mut active[i],
+                bindings,
+                journal.as_deref_mut(),
+                &mut scratch,
+            );
             if active[i].pc >= compiled.packets.len() {
                 if let Some(t) = trace {
                     let ws = &active[i];
@@ -613,25 +576,27 @@ fn step_packet(
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &mut Bindings,
-    lanes: &mut Lanes<'_>,
+    mut journal: Option<&mut Vec<ScatterWrite>>,
     scratch: &mut ExecScratch,
 ) {
     match compiled.packets[ws.pc] {
         Packet::Free { first, len } => {
             for k in first..first + len {
-                exec_free(compiled.frees[k as usize], launch, ws, bindings, lanes, scratch);
+                exec_free(compiled.frees[k as usize], launch, ws, bindings, scratch);
             }
         }
         Packet::Alu { idx } => {
-            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize);
+            exec_alu(cu, compiled, launch, ws, bindings, journal, scratch, idx as usize);
         }
         Packet::ExpChain { idx } => {
-            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize);
-            exec_alu(cu, compiled, launch, ws, bindings, lanes, scratch, idx as usize + 1);
+            let idx = idx as usize;
+            exec_alu(cu, compiled, launch, ws, bindings, journal.as_deref_mut(), scratch, idx);
+            exec_alu(cu, compiled, launch, ws, bindings, journal, scratch, idx + 1);
         }
         Packet::Scatters { first, len } => {
             for k in first..first + len {
-                exec_scatter(compiled.scatters[k as usize], launch, ws, bindings, lanes);
+                let step = compiled.scatters[k as usize];
+                exec_scatter(step, launch, ws, bindings, journal.as_deref_mut());
             }
         }
         Packet::Loop { count } => ws.loops.push(count),
@@ -648,16 +613,12 @@ fn step_packet(
     ws.pc += 1;
 }
 
-/// Executes one free (non-issuing) step. Lane ids and masks fill every
-/// lane (they are pure functions of wavefront-visible state); gathers
-/// fill executed lanes only — in a shard, non-owned registers stay 0.0
-/// and feed nothing the shard executes.
+/// Executes one free (non-issuing) step.
 fn exec_free(
     step: FreeStep,
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &Bindings,
-    lanes: &Lanes<'_>,
     scratch: &mut ExecScratch,
 ) {
     match step {
@@ -674,35 +635,23 @@ fn exec_free(
             match addr {
                 Addr::Indexed(ids) => match launch.cached(addr) {
                     Some(cache) => {
-                        for (l, (r, &at)) in reg.iter_mut().zip(&cache[start..]).enumerate() {
-                            if lanes.owns(l) {
-                                *r = buf[at];
-                            }
+                        for (r, &at) in reg.iter_mut().zip(&cache[start..]) {
+                            *r = buf[at];
                         }
                     }
                     None => {
-                        let idx = bindings.buffer(ids);
-                        for (l, r) in reg.iter_mut().enumerate() {
-                            if lanes.owns(l) {
-                                *r = buf[idx[start + l] as usize];
-                            }
+                        let idx = &bindings.buffer(ids)[start..start + ws.lanes];
+                        for (r, &at) in reg.iter_mut().zip(idx) {
+                            *r = buf[at as usize];
                         }
                     }
                 },
-                Addr::Gid => {
-                    for (l, (r, &v)) in reg.iter_mut().zip(&buf[start..start + ws.lanes]).enumerate() {
-                        if lanes.owns(l) {
-                            *r = v;
-                        }
-                    }
-                }
+                Addr::Gid => reg.copy_from_slice(&buf[start..start + ws.lanes]),
                 Addr::Neighbour { dx, dy, width } => {
                     let grid = Grid::new(width, buf.len());
                     let (mut x, mut y) = (start % grid.width, start / grid.width);
-                    for (l, r) in reg.iter_mut().enumerate() {
-                        if lanes.owns(l) {
-                            *r = buf[grid.neighbour(x, y, dx, dy)];
-                        }
+                    for r in reg.iter_mut() {
+                        *r = buf[grid.neighbour(x, y, dx, dy)];
                         x += 1;
                         if x == grid.width {
                             x = 0;
@@ -753,7 +702,7 @@ fn exec_alu(
     launch: &LaunchState,
     ws: &mut WaveState,
     bindings: &mut Bindings,
-    lanes: &mut Lanes<'_>,
+    mut journal: Option<&mut Vec<ScatterWrite>>,
     scratch: &mut ExecScratch,
     idx: usize,
 ) {
@@ -780,13 +729,7 @@ fn exec_alu(
                 &scratch.active
             }
         };
-        let srcs = &slices[..step.arity as usize];
-        match lanes {
-            Lanes::Whole(_) => cu.issue_vector_into(step.op, srcs, active, &mut result),
-            Lanes::Shard { sc_range, journal, .. } => {
-                cu.issue_vector_sharded(step.op, srcs, active, sc_range.clone(), &mut result, journal);
-            }
-        }
+        cu.issue_vector_into(step.op, &slices[..step.arity as usize], active, &mut result);
         // Masked write-back preserves the destination in inactive lanes
         // (Evergreen predication).
         if let Some(m) = ws.masks.last() {
@@ -801,24 +744,24 @@ fn exec_alu(
     std::mem::swap(&mut ws.regs[step.dst as usize], &mut result);
     scratch.result = result;
     for k in step.scatter_first..step.scatter_first + step.scatter_len {
-        exec_scatter(compiled.scatters[k as usize], launch, ws, bindings, lanes);
+        exec_scatter(compiled.scatters[k as usize], launch, ws, bindings, journal.as_deref_mut());
     }
 }
 
-/// Executes one scatter step for the executed, active lanes, journaling
-/// each write where `lanes` asks for it.
+/// Executes one scatter step for the active lanes, journaling each
+/// write when a `journal` is given.
 fn exec_scatter(
     step: ScatterStep,
     launch: &LaunchState,
     ws: &WaveState,
     bindings: &mut Bindings,
-    lanes: &mut Lanes<'_>,
+    mut journal: Option<&mut Vec<ScatterWrite>>,
 ) {
     let mask = ws.masks.last();
     let reg = &ws.regs[step.src as usize];
     let cache = launch.cached(step.addr);
     for (l, &value) in reg.iter().enumerate() {
-        if mask.is_some_and(|m| !m[l]) || !lanes.owns(l) {
+        if mask.is_some_and(|m| !m[l]) {
             continue;
         }
         let gid = ws.start + l;
@@ -827,22 +770,9 @@ fn exec_scatter(
             None => bindings.element(step.data, step.addr, gid),
         };
         bindings.apply_write(step.data, index, value);
-        match lanes {
-            Lanes::Whole(None) => {}
-            Lanes::Whole(Some(journal)) => {
-                journal.push(ScatterWrite { data: step.data, index, value });
-            }
-            Lanes::Shard { scatters, ordinal, .. } => scatters.push(ScatterRec {
-                ordinal: *ordinal,
-                lane: l as u32,
-                data: step.data,
-                index,
-                value,
-            }),
+        if let Some(journal) = journal.as_deref_mut() {
+            journal.push(ScatterWrite { data: step.data, index, value });
         }
-    }
-    if let Lanes::Shard { ordinal, .. } = lanes {
-        *ordinal += 1;
     }
 }
 
@@ -851,7 +781,6 @@ mod tests {
     use super::*;
     use crate::config::DeviceConfig;
     use crate::engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
-    use crate::intra_cu::IntraCuEngine;
     use crate::program::{Src, VInst};
 
     fn cus(config: &DeviceConfig, n: usize) -> Vec<ComputeUnit> {
@@ -1001,7 +930,7 @@ mod tests {
 
     #[test]
     fn masked_and_cross_lane_programs_agree_across_backends() {
-        // Large enough that the threaded engines do NOT take the
+        // Large enough that the parallel engine does NOT take the
         // small-kernel sequential fallback (10 insts × 64k lanes).
         let n = 1 << 16;
         let config = DeviceConfig::default();
@@ -1017,60 +946,11 @@ mod tests {
         let mut par_cus = cus(&config, 2);
         ParallelEngine::new().run_compiled(&mut par_cus, &cp, &mut par_b, &schedule, 2);
 
-        // IntraCu must detect the cross-lane shift and still agree (it
-        // falls back to the parallel engine).
-        let mut icu_b = masked_bindings(n);
-        let mut icu_cus = cus(&config, 2);
-        IntraCuEngine::with_shards(4).run_compiled(&mut icu_cus, &cp, &mut icu_b, &schedule, 2);
-
         assert_eq!(seq_b, par_b);
-        assert_eq!(seq_b, icu_b);
         for (a, b) in seq_cus.iter().zip(&par_cus) {
             assert_eq!(a.cycles(), b.cycles());
             assert_eq!(a.ledger().total_pj(), b.ledger().total_pj());
         }
-        for (a, b) in seq_cus.iter().zip(&icu_cus) {
-            assert_eq!(a.cycles(), b.cycles());
-            assert_eq!(a.ledger().total_pj(), b.ledger().total_pj());
-        }
-    }
-
-    #[test]
-    fn masked_program_shards_bit_identically_without_lane_shift() {
-        // Same shape minus the LaneShift, plus a neighbour gather: IntraCu
-        // takes the true sharded path and must still match sequentially.
-        let p = VProgram::new(
-            3,
-            vec![
-                VInst::Gather { dst: 0, data: 0, addr: Addr::Indexed(1) },
-                VInst::Gather { dst: 1, data: 0, addr: Addr::Neighbour { dx: 1, dy: -1, width: 256 } },
-                VInst::Gather { dst: 2, data: 2, addr: Addr::Indexed(1) },
-                VInst::PushMask { mask: 2 },
-                VInst::Alu { op: FpOp::Sqrt, dst: 0, srcs: vec![Src::Reg(0)] },
-                VInst::Scatter { src: 0, data: 3, addr: Addr::Indexed(1) },
-                VInst::PopMask,
-                VInst::Alu { op: FpOp::Add, dst: 0, srcs: vec![Src::Reg(0), Src::Reg(1)] },
-                VInst::Scatter { src: 0, data: 4, addr: Addr::Indexed(1) },
-            ],
-        )
-        .unwrap();
-        let n = 1 << 16;
-        let cp = CompiledProgram::compile(&p);
-        assert!(!cp.prefers_sequential(n));
-        let config = DeviceConfig::default();
-        let schedule = Schedule::new(n, config.wavefront_size, 1);
-
-        let mut seq_b = masked_bindings(n);
-        let mut seq_cus = cus(&config, 1);
-        SequentialEngine::new().run_compiled(&mut seq_cus, &cp, &mut seq_b, &schedule, 3);
-
-        let mut icu_b = masked_bindings(n);
-        let mut icu_cus = cus(&config, 1);
-        IntraCuEngine::with_shards(4).run_compiled(&mut icu_cus, &cp, &mut icu_b, &schedule, 3);
-
-        assert_eq!(seq_b, icu_b);
-        assert_eq!(seq_cus[0].cycles(), icu_cus[0].cycles());
-        assert_eq!(seq_cus[0].ledger().total_pj(), icu_cus[0].ledger().total_pj());
     }
 
     /// A loop body with a wavefront-varying operand, an immediate and a

@@ -5,7 +5,6 @@ use crate::sink::{LaneEvent, LaneEventKind, LocalitySink, SinkPipeline};
 use crate::stream_core::StreamCore;
 use crate::trace::TraceBuffer;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use tm_core::MemoStats;
 use tm_energy::EnergyLedger;
 use tm_fpu::{FpOp, Operands};
@@ -32,8 +31,10 @@ pub struct ComputeUnit {
     /// verdict of a lane depends only on (CU seed, its stream core,
     /// how many instructions that stream core has issued) — never on
     /// which other stream cores ran in between. This is what lets the
-    /// intra-CU engine execute disjoint stream-core shards concurrently
-    /// and still replay a bit-identical instruction stream.
+    /// issue loop walk stream-core-major (see
+    /// [`ComputeUnit::issue_vector_into`]) and draw exactly what a
+    /// lane-major walk would; the goldens and the snapshot format pin
+    /// this per-stream-core draw order.
     injectors: Vec<ErrorSampler>,
     ecu: Ecu,
     cycles: u64,
@@ -57,30 +58,6 @@ struct IssueScratch {
     ordered: Vec<LaneEvent>,
     /// Spatial-mode intra-slot reuse table.
     slots: Vec<(Operands, f32)>,
-}
-
-/// The execution record one intra-CU shard produces: every owned lane's
-/// event, grouped per instruction, in lane order. The intra-CU engine
-/// merges the shards' journals instruction-aligned and replays them
-/// through the real compute unit's ECU, cycle counter and sink pipeline
-/// (see [`crate::IntraCuEngine`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardJournal {
-    /// Per-instruction records, in issue order.
-    pub(crate) instructions: Vec<JournalInstr>,
-    /// Owned-lane events, lane-ascending within each instruction;
-    /// instruction *k* owns `events[instructions[k-1].events_end..instructions[k].events_end]`.
-    pub(crate) events: Vec<LaneEvent>,
-}
-
-/// One instruction boundary in a [`ShardJournal`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JournalInstr {
-    /// The opcode (must agree across every shard of a CU — asserted at
-    /// merge time).
-    pub(crate) op: FpOp,
-    /// End of this instruction's event range in [`ShardJournal::events`].
-    pub(crate) events_end: usize,
 }
 
 impl ComputeUnit {
@@ -329,16 +306,8 @@ impl ComputeUnit {
         } else {
             let mut cursors = std::mem::take(&mut self.scratch.run_cursors);
             cursors.clear();
-            recovery_stall = self.walk_stream_cores(
-                op,
-                srcs,
-                active,
-                rate,
-                0..num_scs,
-                out,
-                &mut events,
-                &mut cursors,
-            );
+            recovery_stall =
+                self.walk_stream_cores(op, srcs, active, rate, out, &mut events, &mut cursors);
             // Restore lane order (the hardware's sub-wavefront slot
             // order) without sorting: each SC's run is already lane
             // ascending, and an event exists exactly for the active
@@ -369,13 +338,12 @@ impl ComputeUnit {
         self.scratch.events = events;
     }
 
-    /// The stream-core-major walk over `sc_range` of one vector
-    /// instruction: each SC's memoization unit and injector stream are
-    /// resolved once per instruction instead of once per lane, and
-    /// consecutive accesses hit the same FIFO. Per-SC injector streams
-    /// make the draw order identical to a lane-major walk (each stream
-    /// still sees its own lanes in ascending order), which is also what
-    /// lets an intra-CU shard walk only the stream cores it owns.
+    /// The stream-core-major walk of one vector instruction: each SC's
+    /// memoization unit and injector stream are resolved once per
+    /// instruction instead of once per lane, and consecutive accesses
+    /// hit the same FIFO. Per-SC injector streams make the draw order
+    /// identical to a lane-major walk (each stream still sees its own
+    /// lanes in ascending order).
     ///
     /// Each walked SC appends one contiguous ascending-lane run to
     /// `events` and its run start to `cursors`. Returns the accumulated
@@ -387,7 +355,6 @@ impl ComputeUnit {
         srcs: &[&[f32]],
         active: &[bool],
         rate: f64,
-        sc_range: Range<usize>,
         out: &mut [f32],
         events: &mut Vec<LaneEvent>,
         cursors: &mut Vec<usize>,
@@ -396,10 +363,7 @@ impl ComputeUnit {
         let lanes = active.len();
         let num_scs = self.config.stream_cores_per_cu;
         let mut recovery_stall: u64 = 0;
-        for sc_idx in sc_range {
-            if sc_idx >= lanes {
-                break;
-            }
+        for sc_idx in 0..num_scs.min(lanes) {
             cursors.push(events.len());
             let injector = &mut self.injectors[sc_idx];
             let unit = self.stream_cores[sc_idx].unit_mut(op, &self.config);
@@ -438,122 +402,6 @@ impl ComputeUnit {
             }
         }
         recovery_stall
-    }
-
-    /// [`ComputeUnit::issue_vector_into`] restricted to the stream cores
-    /// in `sc_range` — the intra-CU shard execute stage.
-    ///
-    /// Only lanes owned by the range (`lane % num_scs ∈ sc_range`) go
-    /// through the memoization/injection/event machinery; non-owned
-    /// lanes read `0.0` (a program's lanewise instructions never read
-    /// them). Nothing reaches this unit's sinks, ECU tallies or
-    /// authoritative cycle counter; instead each owned lane's event is
-    /// appended to `journal` in lane order and an instruction boundary
-    /// is recorded, for the intra-CU engine's ordered merge. Shard-local cycles still advance (by slots plus
-    /// the *shard-local* stall) so FPU pipeline occupancy stays
-    /// plausible, but the merge recomputes the authoritative timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operand counts or lane lengths are inconsistent with the
-    /// opcode and mask.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn issue_vector_sharded(
-        &mut self,
-        op: FpOp,
-        srcs: &[&[f32]],
-        active: &[bool],
-        sc_range: Range<usize>,
-        out: &mut Vec<f32>,
-        journal: &mut ShardJournal,
-    ) {
-        assert_eq!(srcs.len(), op.arity(), "{op} arity mismatch");
-        let lanes = active.len();
-        for s in srcs {
-            assert_eq!(s.len(), lanes, "operand vector length mismatch");
-        }
-        assert_ne!(
-            self.config.arch,
-            ArchMode::Spatial,
-            "spatial mode reuses across stream cores and cannot be sharded"
-        );
-        let num_scs = self.config.stream_cores_per_cu;
-        let rate = self.config.effective_error_rate_for_stages(op.latency());
-
-        out.clear();
-        out.resize(lanes, 0.0f32);
-        let mut events = std::mem::take(&mut self.scratch.events);
-        events.clear();
-        let mut cursors = std::mem::take(&mut self.scratch.run_cursors);
-        cursors.clear();
-        let stall = self.walk_stream_cores(
-            op,
-            srcs,
-            active,
-            rate,
-            sc_range.clone(),
-            out,
-            &mut events,
-            &mut cursors,
-        );
-        // Owned events in lane order (same cursor merge as the full walk,
-        // restricted to the shard's runs).
-        for (lane, &on) in active.iter().enumerate() {
-            let sc = lane % num_scs;
-            if on && sc_range.contains(&sc) {
-                let cursor = &mut cursors[sc - sc_range.start];
-                journal.events.push(events[*cursor]);
-                *cursor += 1;
-            }
-        }
-        self.cycles += self.config.subwavefront_slots() as u64 + stall;
-        journal.instructions.push(JournalInstr {
-            op,
-            events_end: journal.events.len(),
-        });
-        self.scratch.events = events;
-        self.scratch.run_cursors = cursors;
-    }
-
-    /// Takes ownership of the stream cores and injector streams in
-    /// `sc_range` from `shard` (a clone of this unit that executed those
-    /// cores' lanes) — the state-merge half of the intra-CU engine.
-    pub(crate) fn adopt_shard(&mut self, shard: &mut ComputeUnit, sc_range: Range<usize>) {
-        for sc in sc_range {
-            std::mem::swap(&mut self.stream_cores[sc], &mut shard.stream_cores[sc]);
-            std::mem::swap(&mut self.injectors[sc], &mut shard.injectors[sc]);
-        }
-    }
-
-    /// Replays one merged instruction's lane-ordered events through this
-    /// unit's ECU, cycle counter and sink pipeline — the accounting half
-    /// of the intra-CU engine's ordered merge. Event cycles are rewritten
-    /// against the authoritative counter (shard-local stalls diverge).
-    ///
-    /// The ECU recovery tally and penalty are order-independent and the
-    /// sinks fold the same lane-ordered stream a sequential
-    /// [`ComputeUnit::issue_vector_into`] would have flushed, so the
-    /// resulting statistics are bit-identical (f64 sums included).
-    pub(crate) fn replay_instruction(&mut self, op: FpOp, events: &mut [LaneEvent]) {
-        let stages = op.latency();
-        let num_scs = self.config.stream_cores_per_cu;
-        let mut recovery_stall: u64 = 0;
-        for e in events.iter_mut() {
-            e.cycle = self.cycles + (e.lane / num_scs) as u64;
-            if let LaneEventKind::Issue {
-                hit: false,
-                recovered: true,
-                ..
-            } = e.kind
-            {
-                recovery_stall += u64::from(self.ecu.recover(stages));
-            }
-        }
-        self.cycles += self.config.subwavefront_slots() as u64 + recovery_stall;
-        // In the non-spatial walk an event exists for exactly the active
-        // lanes, so the event count *is* the active-lane count.
-        self.sinks
-            .flush_instruction(op, events, events.len() as u64, 0, 0);
     }
 
     /// The spatial-architecture lane-major issue path (cross-lane reuse

@@ -30,8 +30,8 @@ pub enum ArchMode {
 /// Every backend produces **bit-identical** [`crate::DeviceReport`]s:
 /// wavefront → CU assignment, each CU's wavefront order, and the
 /// index-order merge of per-CU statistics are the same; the parallel
-/// backends only overlap the (already independent) per-SC/per-CU work on
-/// OS threads. See `DESIGN.md` § "Execution engine".
+/// backend only overlaps the (already independent) per-CU work on OS
+/// threads. See `DESIGN.md` § "Execution engine".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecBackend {
     /// One thread walks the wavefronts in dispatch order — the reference
@@ -42,24 +42,16 @@ pub enum ExecBackend {
     /// extra dependencies); results merge deterministically in CU index
     /// order.
     Parallel,
-    /// Stream-core-level sharding *within* each compute unit on a shared
-    /// work-stealing pool — the only backend that speeds up single-CU
-    /// configurations. Shard journals are merged in lane order and
-    /// replayed through each CU's real accounting, keeping reports
-    /// bit-identical for any shard count; spatial mode falls back to
-    /// [`ExecBackend::Parallel`]. See [`crate::IntraCuEngine`].
-    IntraCu,
 }
 
 impl ExecBackend {
     /// A stable lowercase label for traces, benchmark records and CLI
-    /// output (`"sequential"`, `"parallel"`, `"intra-cu"`).
+    /// output (`"sequential"`, `"parallel"`).
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             Self::Sequential => "sequential",
             Self::Parallel => "parallel",
-            Self::IntraCu => "intra-cu",
         }
     }
 }
@@ -117,22 +109,6 @@ pub enum ConfigError {
     },
     /// `metrics_window == Some(0)`.
     ZeroMetricsWindow,
-    /// A pinned intra-CU shard count outside `1..=stream_cores_per_cu`.
-    ShardsOutOfRange {
-        /// The pinned shard count.
-        shards: usize,
-        /// Configured stream cores per CU.
-        stream_cores: usize,
-    },
-    /// [`ExecBackend::IntraCu`] with [`ArchMode::Spatial`]: spatial
-    /// memoization couples lanes within a sub-wavefront slot, so the
-    /// engine would silently fall back to [`ExecBackend::Parallel`].
-    SpatialIntraCu,
-    /// A pinned intra-CU shard count with approximate matching: the
-    /// kernel path cannot honor the pin (approximate value reuse couples
-    /// lanes, so it falls back to [`ExecBackend::Parallel`]). Leave the
-    /// shard count unpinned (plain [`ExecBackend::IntraCu`]) instead.
-    PinnedShardsNeedExactMatching,
 }
 
 impl fmt::Display for ConfigError {
@@ -151,21 +127,6 @@ impl fmt::Display for ConfigError {
             Self::ErrorRateOutOfRange { rate } => write!(f, "error rate {rate} out of range"),
             Self::NonPositiveVdd { vdd } => write!(f, "vdd must be positive, got {vdd}"),
             Self::ZeroMetricsWindow => write!(f, "metrics window width must be non-zero"),
-            Self::ShardsOutOfRange {
-                shards,
-                stream_cores,
-            } => write!(
-                f,
-                "intra-CU shard count {shards} out of range 1..={stream_cores}"
-            ),
-            Self::SpatialIntraCu => write!(
-                f,
-                "the intra-CU backend cannot shard spatial memoization; use the parallel backend"
-            ),
-            Self::PinnedShardsNeedExactMatching => write!(
-                f,
-                "a pinned intra-CU shard count requires exact matching; leave the shard count unpinned with approximate policies"
-            ),
         }
     }
 }
@@ -238,11 +199,6 @@ pub struct DeviceConfig {
     pub adaptive_gate: Option<GatePolicy>,
     /// Which execution engine drives the compute units.
     pub backend: ExecBackend,
-    /// Fixed shard count per compute unit for [`ExecBackend::IntraCu`]
-    /// (`None` picks it from the host's available parallelism). Results
-    /// are shard-count-invariant; pinning exists for tests and
-    /// benchmarks.
-    pub intra_cu_shards: Option<usize>,
     /// Enables online value-locality profiling (a
     /// [`crate::sink::LocalitySink`] per compute unit) — the streaming
     /// alternative to recording a bounded trace and post-processing it
@@ -276,7 +232,6 @@ impl Default for DeviceConfig {
             trace_depth: 0,
             adaptive_gate: None,
             backend: ExecBackend::default(),
-            intra_cu_shards: None,
             locality_tracking: false,
             metrics_window: None,
         }
@@ -336,8 +291,7 @@ impl DeviceConfig {
     /// Checks internal consistency, returning the first violation.
     ///
     /// This is the non-panicking core shared by [`DeviceConfig::validate`]
-    /// and [`DeviceConfigBuilder::build`] (which adds stricter
-    /// cross-field rules on top).
+    /// and [`DeviceConfigBuilder::build`].
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.compute_units == 0 {
             return Err(ConfigError::NoComputeUnits);
@@ -375,8 +329,8 @@ impl DeviceConfig {
     /// Panics on nonsensical geometry (zero CUs/SCs, a wavefront that is
     /// not a positive multiple of the SC count) or an out-of-range error
     /// rate. Prefer [`DeviceConfig::builder`], whose
-    /// [`DeviceConfigBuilder::build`] reports the same problems (and
-    /// stricter cross-field ones) as a [`ConfigError`] instead.
+    /// [`DeviceConfigBuilder::build`] reports the same problems as a
+    /// [`ConfigError`] instead.
     pub fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("{e}");
@@ -395,22 +349,19 @@ impl DeviceConfig {
 ///
 /// Obtained from [`DeviceConfig::builder`] (paper defaults) or
 /// [`DeviceConfig::rebuild`] (derive a variant from an existing config).
-/// [`DeviceConfigBuilder::build`] rejects inconsistent combinations —
-/// out-of-range shard pins, spatial memoization under the intra-CU
-/// backend, pinned shards with approximate matching — that unvalidated
-/// field edits would silently paper over with run-time fallbacks.
+/// [`DeviceConfigBuilder::build`] returns what [`DeviceConfig::check`]
+/// rejects as a [`ConfigError`] value instead of a panic.
 ///
 /// # Examples
 ///
 /// ```
-/// use tm_sim::{DeviceConfig, ConfigError, ExecBackend, ArchMode};
+/// use tm_sim::{ConfigError, DeviceConfig};
 ///
 /// let err = DeviceConfig::builder()
-///     .with_arch(ArchMode::Spatial)
-///     .with_intra_cu()
+///     .with_fifo_depth(0)
 ///     .build()
 ///     .unwrap_err();
-/// assert_eq!(err, ConfigError::SpatialIntraCu);
+/// assert_eq!(err, ConfigError::ZeroFifoDepth);
 /// ```
 #[derive(Debug, Clone)]
 #[must_use = "a builder does nothing until `.build()` is called"]
@@ -516,21 +467,6 @@ impl DeviceConfigBuilder {
         self.with_backend(ExecBackend::Parallel)
     }
 
-    /// Shorthand for [`DeviceConfigBuilder::with_backend`] with
-    /// [`ExecBackend::IntraCu`] — stream-core-level sharding within each
-    /// compute unit.
-    pub fn with_intra_cu(self) -> Self {
-        self.with_backend(ExecBackend::IntraCu)
-    }
-
-    /// Selects the intra-CU backend with a pinned shard count per
-    /// compute unit (validated against `1..=stream_cores_per_cu` at
-    /// build time).
-    pub fn with_intra_cu_shards(mut self, shards: usize) -> Self {
-        self.config.intra_cu_shards = Some(shards);
-        self.with_backend(ExecBackend::IntraCu)
-    }
-
     /// Enables online value-locality profiling.
     pub fn with_locality_tracking(mut self) -> Self {
         self.config.locality_tracking = true;
@@ -548,30 +484,10 @@ impl DeviceConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Everything [`DeviceConfig::check`] rejects, plus the cross-field
-    /// rules: a pinned shard count outside `1..=stream_cores_per_cu`
-    /// ([`ConfigError::ShardsOutOfRange`]), the intra-CU backend under
-    /// spatial memoization ([`ConfigError::SpatialIntraCu`]), and a
-    /// pinned shard count with approximate matching
-    /// ([`ConfigError::PinnedShardsNeedExactMatching`]).
+    /// Everything [`DeviceConfig::check`] rejects.
     pub fn build(self) -> Result<DeviceConfig, ConfigError> {
-        let c = self.config;
-        c.check()?;
-        if let Some(shards) = c.intra_cu_shards {
-            if shards == 0 || shards > c.stream_cores_per_cu {
-                return Err(ConfigError::ShardsOutOfRange {
-                    shards,
-                    stream_cores: c.stream_cores_per_cu,
-                });
-            }
-            if !matches!(c.policy, MatchPolicy::Exact) {
-                return Err(ConfigError::PinnedShardsNeedExactMatching);
-            }
-        }
-        if c.backend == ExecBackend::IntraCu && c.arch == ArchMode::Spatial {
-            return Err(ConfigError::SpatialIntraCu);
-        }
-        Ok(c)
+        self.config.check()?;
+        Ok(self.config)
     }
 }
 
@@ -685,55 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_inconsistent_shard_pins() {
-        // More shards than stream cores: the pin cannot be honored.
-        let err = DeviceConfig::builder()
-            .with_intra_cu_shards(17)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ShardsOutOfRange {
-                shards: 17,
-                stream_cores: 16
-            }
-        );
-        assert_eq!(
-            DeviceConfig::builder().with_intra_cu_shards(0).build(),
-            Err(ConfigError::ShardsOutOfRange {
-                shards: 0,
-                stream_cores: 16
-            })
-        );
-        // Pinned shards + approximate matching: the kernel path would
-        // silently fall back to the parallel backend.
-        let err = DeviceConfig::builder()
-            .with_policy(MatchPolicy::threshold(0.5))
-            .with_intra_cu_shards(4)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::PinnedShardsNeedExactMatching);
-        // The unpinned intra-CU backend with approximate matching is
-        // fine — IR programs shard under any policy.
-        let ok = DeviceConfig::builder()
-            .with_policy(MatchPolicy::threshold(0.5))
-            .with_intra_cu()
-            .build();
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn build_rejects_spatial_intra_cu() {
-        let err = DeviceConfig::builder()
-            .with_arch(ArchMode::Spatial)
-            .with_intra_cu()
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::SpatialIntraCu);
-        assert!(err.to_string().contains("spatial"));
-    }
-
-    #[test]
     fn rebuild_preserves_and_revalidates() {
         let base = DeviceConfig::builder().with_seed(9).build().unwrap();
         let derived = base
@@ -744,9 +611,9 @@ mod tests {
             .unwrap();
         assert_eq!(derived.seed, 9);
         assert_eq!(derived.backend, ExecBackend::Parallel);
-        // Re-opening lets strict rules catch later edits too.
-        let err = base.rebuild().with_intra_cu_shards(99).build().unwrap_err();
-        assert!(matches!(err, ConfigError::ShardsOutOfRange { .. }));
+        // Re-opening lets validation catch later edits too.
+        let err = base.rebuild().with_fifo_depth(0).build().unwrap_err();
+        assert_eq!(err, ConfigError::ZeroFifoDepth);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::compiled::CompiledProgram;
 use crate::compute_unit::ComputeUnit;
 use crate::config::{DeviceConfig, ExecBackend};
 use crate::engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
-use crate::intra_cu::IntraCuEngine;
 use crate::locality::LocalitySummary;
 use crate::obs::DeviceObs;
 use crate::program::{Bindings, VProgram};
@@ -262,16 +261,6 @@ impl Device {
         self.wavefronts_dispatched = n;
     }
 
-    /// The intra-CU engine the configuration asks for: auto-sized from
-    /// host parallelism unless a shard count is pinned.
-    fn intra_cu_engine(&self) -> IntraCuEngine {
-        let engine = match self.config.intra_cu_shards {
-            Some(n) => IntraCuEngine::with_shards(n),
-            None => IntraCuEngine::new(),
-        };
-        engine.with_obs(self.obs.clone())
-    }
-
     /// The schedule the device's geometry induces for `global_size`
     /// work-items — the scheduling layer every engine shares.
     fn schedule(&self, global_size: usize) -> Schedule {
@@ -363,13 +352,6 @@ impl Device {
                 in_flight,
             ),
             ExecBackend::Parallel => ParallelEngine::with_obs(self.obs.clone()).run_compiled(
-                &mut self.compute_units,
-                compiled,
-                bindings,
-                &schedule,
-                in_flight,
-            ),
-            ExecBackend::IntraCu => self.intra_cu_engine().run_compiled(
                 &mut self.compute_units,
                 compiled,
                 bindings,

@@ -24,7 +24,7 @@
 //! sequential engine when a program gathers from a scattered buffer (a
 //! cross-wavefront data hazard).
 
-use crate::compiled::{run_cu_queue, CompiledProgram, Lanes, LaunchState, ScatterWrite, WaveTrace};
+use crate::compiled::{run_cu_queue, CompiledProgram, LaunchState, ScatterWrite, WaveTrace};
 use crate::compute_unit::ComputeUnit;
 use crate::obs::DeviceObs;
 use crate::program::{Bindings, BufferId, VInst, VProgram};
@@ -221,7 +221,7 @@ impl ExecEngine for SequentialEngine {
                 queue,
                 bindings,
                 in_flight,
-                &mut Lanes::Whole(None),
+                None,
                 WaveTrace::new(self.obs.as_ref(), cu_idx, schedule.num_cus()),
             );
         }
@@ -312,7 +312,7 @@ impl ExecEngine for ParallelEngine {
                             queue,
                             &mut local,
                             in_flight,
-                            &mut Lanes::Whole(Some(&mut journal)),
+                            Some(&mut journal),
                             WaveTrace::new(obs.as_ref(), cu_idx, num_cus),
                         );
                         if let (Some(obs), Some(start)) = (&obs, worker_start) {
@@ -350,7 +350,7 @@ impl ExecEngine for ParallelEngine {
 /// the hazard lane-private. In-place stage programs with disjoint
 /// per-lane index pairs (the FWT butterfly) pass the refined check and
 /// stay parallel.
-pub(crate) fn program_needs_sequential_fallback(
+fn program_needs_sequential_fallback(
     program: &VProgram,
     bindings: &Bindings,
     schedule: &Schedule,

@@ -70,7 +70,6 @@ mod compute_unit;
 mod config;
 mod device;
 pub mod engine;
-pub mod intra_cu;
 pub mod locality;
 pub mod obs;
 pub mod pool;
@@ -88,7 +87,6 @@ pub use config::{
 };
 pub use device::Device;
 pub use engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
-pub use intra_cu::IntraCuEngine;
 pub use obs::DeviceObs;
 pub use pool::{DevicePool, PoolStats};
 pub use report::{DeviceReport, OpReport};

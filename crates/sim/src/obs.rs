@@ -9,8 +9,8 @@
 //!   track group (kernel launches and per-wavefront execution, tid =
 //!   compute-unit index; wavefronts of in-flight slot *k* > 0 use track
 //!   `cu + k × CUs`), wall-clock spans on the *wall* track group
-//!   (per-CU worker threads, intra-CU shard tasks, journal merges), and
-//!   named overhead counters (steals, fallbacks);
+//!   (per-CU worker threads), and named overhead counters (engine
+//!   fallbacks);
 //! * a [`TelemetryHub`] (via [`crate::Device::attach_hub`]) for **live
 //!   telemetry** — the same overhead counters published as hub counters
 //!   under the device's scope prefix, plus per-launch latency sketches,
@@ -208,7 +208,7 @@ mod tests {
         let t0 = obs.now_us();
         obs.wall_span("host", "test", 0, t0, Vec::new());
         obs.cycle_span("sim", "test", 3, 100, 164, Vec::new());
-        obs.inc("steals", 2);
+        obs.inc("engine.small_kernel_sequential", 2);
         rec.with(|r| {
             assert_eq!(r.spans().len(), 2);
             assert_eq!(r.spans()[0].pid, obs.wall_pid());
@@ -217,7 +217,10 @@ mod tests {
             assert_eq!(r.spans()[1].dur, 64);
             assert_eq!(r.spans()[1].tid, 3);
         });
-        assert_eq!(rec.counter_snapshot(), vec![("steals".to_string(), 2)]);
+        assert_eq!(
+            rec.counter_snapshot(),
+            vec![("engine.small_kernel_sequential".to_string(), 2)]
+        );
     }
 
     #[test]
@@ -225,10 +228,10 @@ mod tests {
         let hub = TelemetryHub::new();
         let obs = DeviceObs::hub_only(&hub, "sim0.");
         assert!(!obs.has_recorder());
-        obs.inc("intra_cu.steals", 3);
+        obs.inc("engine.small_kernel_sequential", 3);
         obs.wall_span("ignored", "test", 0, 0, Vec::new());
         obs.cycle_span("ignored", "test", 0, 0, 1, Vec::new());
-        assert_eq!(hub.counter("sim0.intra_cu.steals"), 3);
+        assert_eq!(hub.counter("sim0.engine.small_kernel_sequential"), 3);
         assert_eq!(hub.len(), 1, "span calls must not create series");
         assert_eq!(obs.clear_hub_series(), 1);
         assert!(hub.is_empty());

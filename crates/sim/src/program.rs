@@ -498,16 +498,6 @@ impl VProgram {
             .map_err(|e| fail(0, e.to_string()))
     }
 
-    /// Whether the program moves values across lanes
-    /// ([`VInst::LaneShift`]), which intra-CU lane sharding cannot
-    /// execute (a shard would need another shard's register lanes).
-    #[must_use]
-    pub fn has_cross_lane_ops(&self) -> bool {
-        self.instructions
-            .iter()
-            .any(|i| matches!(i, VInst::LaneShift { .. }))
-    }
-
     /// Per-opcode ALU instruction counts — the static instruction mix.
     #[must_use]
     pub fn op_histogram(&self) -> Vec<(tm_fpu::FpOp, usize)> {
@@ -822,7 +812,7 @@ pub fn hazards_are_lane_private(
 
     // Per-location writer sets, collapsed to what the subset test needs
     // and kept flat — one slot per location of the scattered buffer —
-    // because this analysis runs per launch on the threaded engines'
+    // because this analysis runs per launch on the parallel engine's
     // hot path (`NONE` = unwritten, `MANY` = more than one writer,
     // anything else = the single writer's gid).
     const NONE: usize = usize::MAX;

@@ -688,10 +688,6 @@ fn config_to_json(c: &DeviceConfig) -> String {
         Some(g) => w.raw_field("adaptive_gate", &gate_policy_to_json(g)),
     }
     w.str_field("backend", c.backend.name());
-    match c.intra_cu_shards {
-        None => w.raw_field("intra_cu_shards", "null"),
-        Some(n) => w.u64_field("intra_cu_shards", n as u64),
-    }
     w.bool_field("locality_tracking", c.locality_tracking);
     match c.metrics_window {
         None => w.raw_field("metrics_window", "null"),
@@ -1076,10 +1072,12 @@ fn config_from_json(v: &JsonValue) -> Result<DeviceConfig, SnapshotError> {
         "lru" => Replacement::Lru,
         other => return Err(schema(p, format!("unknown replacement policy \"{other}\""))),
     };
+    // Documents written before the intra-CU backend was removed may name
+    // it (and carry an `intra_cu_shards` field, which is ignored): they
+    // run on the parallel backend, which produces the same results.
     let backend = match want_str(v, p, "backend")? {
         "sequential" => ExecBackend::Sequential,
-        "parallel" => ExecBackend::Parallel,
-        "intra-cu" => ExecBackend::IntraCu,
+        "parallel" | "intra-cu" => ExecBackend::Parallel,
         other => return Err(schema(p, format!("unknown backend \"{other}\""))),
     };
     let policy = policy_from_json(want(v, p, "policy")?)?;
@@ -1091,13 +1089,6 @@ fn config_from_json(v: &JsonValue) -> Result<DeviceConfig, SnapshotError> {
     let adaptive_gate = match want(v, p, "adaptive_gate")? {
         JsonValue::Null => None,
         g => Some(gate_policy_from_json(g)?),
-    };
-    let intra_cu_shards = match opt_u64(v, p, "intra_cu_shards")? {
-        None => None,
-        Some(n) => Some(
-            usize::try_from(n)
-                .map_err(|_| schema(p, "field `intra_cu_shards` does not fit in usize"))?,
-        ),
     };
     Ok(DeviceConfig {
         compute_units: want_usize(v, p, "compute_units")?,
@@ -1117,7 +1108,6 @@ fn config_from_json(v: &JsonValue) -> Result<DeviceConfig, SnapshotError> {
         trace_depth: want_usize(v, p, "trace_depth")?,
         adaptive_gate,
         backend,
-        intra_cu_shards,
         locality_tracking: want_bool(v, p, "locality_tracking")?,
         metrics_window: opt_u64(v, p, "metrics_window")?,
     })
@@ -1514,6 +1504,35 @@ mod tests {
         assert_eq!(
             original.snapshot().unwrap().to_json(),
             restored.snapshot().unwrap().to_json()
+        );
+    }
+
+    #[test]
+    fn legacy_intra_cu_documents_restore_onto_the_parallel_backend() {
+        let mut original = Device::new(busy_config());
+        run_some(&mut original, 300);
+        // The shape older builds wrote for the removed intra-CU backend.
+        let legacy = original.snapshot().unwrap().to_json().replacen(
+            "\"backend\":\"sequential\"",
+            "\"backend\":\"intra-cu\",\"intra_cu_shards\":4",
+            1,
+        );
+        assert!(legacy.contains("\"intra_cu_shards\":4"));
+        let parsed = DeviceSnapshot::from_json(&legacy).unwrap();
+        assert_eq!(parsed.config().backend, ExecBackend::Parallel);
+        let mut restored = Device::restore(&parsed).unwrap();
+        // Large enough to take the threaded path rather than the
+        // small-launch sequential fallback.
+        let n = 1 << 16;
+        run_some(&mut original, n);
+        run_some(&mut restored, n);
+        assert_eq!(
+            original.snapshot().unwrap().to_json(),
+            restored
+                .snapshot()
+                .unwrap()
+                .to_json()
+                .replacen("\"backend\":\"parallel\"", "\"backend\":\"sequential\"", 1)
         );
     }
 

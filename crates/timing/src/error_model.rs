@@ -24,8 +24,10 @@
 //! sampler, so a lane's EDS verdict depends only on (CU seed, its
 //! stream core, how many instructions that stream core has issued) —
 //! never on which other stream cores ran in between. This is the
-//! invariant that keeps Sequential/Parallel/IntraCu backends
-//! bit-identical for the same seed, and every model here preserves it.
+//! invariant that lets the simulator walk a compute unit
+//! stream-core-major and still draw exactly what a lane-major walk
+//! would, so the Sequential and Parallel backends stay bit-identical for
+//! the same seed; every model here preserves it.
 //! A zero effective rate never advances the sampler's RNG (the same
 //! fast path [`crate::ErrorInjector::sample_with_rate`] pins), so
 //! error-free runs stay reproducible too.

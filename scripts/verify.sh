@@ -13,7 +13,7 @@ cargo build --release --offline
 echo "== cargo test (offline, workspace) =="
 cargo test --workspace -q --offline
 
-echo "== backend determinism suite (sequential / parallel / intra-cu) =="
+echo "== backend determinism suite (sequential / parallel) =="
 cargo test -q --offline -p tm-kernels --test determinism
 
 echo "== observability demo (trace + metrics exporters) =="
