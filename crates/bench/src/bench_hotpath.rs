@@ -3,15 +3,21 @@
 //! Measures simulator throughput — lane instructions per wall-clock
 //! second — for every kernel workload, per execution backend. Only the
 //! launch is timed: input generation and `Device::new` run before the
-//! clock starts. The `repro`
+//! clock starts. Five `part:*` rows then time the layers of one lane's
+//! issue on their own (see [`PART_CASES`]), so a regression names the
+//! part that slowed down. The `repro`
 //! binary serializes the rows to `BENCH_hotpath.json`, preserving the
 //! first-ever run as a frozen baseline so the perf trajectory is tracked
 //! across PRs (and gated by `--gate`; see [`crate::bench_gate`]).
 
 use crate::runner::{kernel_policy, ExperimentConfig};
+use std::hint::black_box;
 use std::time::Instant;
-use tm_kernels::{workload, ALL_KERNELS};
+use tm_core::MemoFifo;
+use tm_fpu::{FpOp, Operands};
+use tm_kernels::{workload, Scale, ALL_KERNELS};
 use tm_sim::prelude::*;
+use tm_sim::{ComputeUnit, LaneUnit};
 
 /// One (case, backend) throughput measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +77,7 @@ fn row(case: &str, backend: ExecBackend, (instructions, wall_ms): (u64, f64)) ->
 /// Sweeps every kernel workload on a **single-CU** device (the
 /// configuration where hot-path cost is undiluted by CU-level
 /// parallelism) across all backends, at the workload's Table-1 matching
-/// policy.
+/// policy, then appends the [`PART_CASES`] rows.
 #[must_use]
 pub fn hotpath_bench(cfg: &ExperimentConfig, repeats: usize) -> Vec<BenchRow> {
     let mut rows = Vec::new();
@@ -93,7 +99,126 @@ pub fn hotpath_bench(cfg: &ExperimentConfig, repeats: usize) -> Vec<BenchRow> {
             rows.push(row(id.name(), backend, timing));
         }
     }
+    rows.extend(part_bench(cfg.scale, repeats));
     rows
+}
+
+/// The per-part rows, innermost first. Each times one layer of a lane's
+/// issue on an always-miss `MUL` stream under `threshold(0.5)`, so every
+/// lane runs the full lookup + compute + insert path:
+///
+/// - `part:compute` — `tm_fpu::compute` alone;
+/// - `part:fifo` — a depth-2 [`MemoFifo`] lookup, compute and insert;
+/// - `part:lane_issue` — [`LaneUnit::issue`] (module, FPU bookkeeping);
+/// - `part:cu_issue` — [`ComputeUnit::issue_vector_into`] on 64-lane
+///   vectors (EDS draws, accounting);
+/// - `part:cu_issue_traced` — the same with an instruction trace
+///   installed, which turns on the per-lane observer path.
+///
+/// The rows' `instructions` are lane operations; they run on the
+/// calling thread and are labelled with the sequential backend.
+pub const PART_CASES: [&str; 5] = [
+    "part:compute",
+    "part:fifo",
+    "part:lane_issue",
+    "part:cu_issue",
+    "part:cu_issue_traced",
+];
+
+/// Distinct operand pairs in the part streams; the stream is replayed
+/// until the row's operation count is reached.
+const PART_STREAM: usize = 1 << 16;
+
+/// An always-miss `MUL` operand stream: the first operands step by 1.0,
+/// so no two pairs within one replay are within the 0.5 threshold, and
+/// the replay seam (2^16 − 1 → 0) is far apart too.
+fn part_stream() -> (Vec<f32>, Vec<f32>) {
+    (0..PART_STREAM)
+        .map(|i| (i as f32, 1.5 + (i % 7) as f32))
+        .unzip()
+}
+
+/// Per-part benchmark rows ([`PART_CASES`]); `ops` lane operations per
+/// timed run.
+fn part_bench(scale: Scale, repeats: usize) -> Vec<BenchRow> {
+    let ops = match scale {
+        Scale::Test => PART_STREAM,
+        Scale::Default | Scale::Paper => 32 * PART_STREAM,
+    };
+    let (a, b) = part_stream();
+    let pairs: Vec<Operands> = a
+        .iter()
+        .zip(&b)
+        .map(|(&x, &y)| Operands::binary(x, y))
+        .collect();
+    let policy = MatchPolicy::threshold(0.5);
+    let config = DeviceConfig::builder().with_policy(policy).build().unwrap();
+    let traced = config
+        .clone()
+        .rebuild()
+        .with_trace_depth(4096)
+        .build()
+        .unwrap();
+    let seq = ExecBackend::Sequential;
+    let cycle = |n: usize| pairs.iter().cycle().take(n);
+
+    let compute = time_best_of(
+        repeats,
+        || 0.0f32,
+        |acc| {
+            for &p in cycle(ops) {
+                *acc += tm_fpu::compute(FpOp::Mul, black_box(p));
+            }
+            black_box(*acc);
+            ops as u64
+        },
+    );
+    let fifo = time_best_of(
+        repeats,
+        || MemoFifo::new(2),
+        |fifo| {
+            for &p in cycle(ops) {
+                if fifo.lookup(&p, policy, true).is_none() {
+                    fifo.insert(p, tm_fpu::compute(FpOp::Mul, p));
+                }
+            }
+            black_box(fifo.len());
+            ops as u64
+        },
+    );
+    let lane_issue = time_best_of(
+        repeats,
+        || LaneUnit::new(FpOp::Mul, &config),
+        |unit| {
+            for (now, &p) in cycle(ops).enumerate() {
+                black_box(unit.issue(p, false, now as u64));
+            }
+            ops as u64
+        },
+    );
+    let cu_issue = |config: &DeviceConfig| {
+        let active = [true; 64];
+        time_best_of(
+            repeats,
+            || (ComputeUnit::new(config, 0), Vec::new()),
+            |(cu, out)| {
+                for v in 0..ops / 64 {
+                    let at = (v * 64) % PART_STREAM;
+                    let srcs: [&[f32]; 2] = [&a[at..at + 64], &b[at..at + 64]];
+                    cu.issue_vector_into(FpOp::Mul, &srcs, &active, out);
+                }
+                black_box(out.len());
+                (ops / 64 * 64) as u64
+            },
+        )
+    };
+    vec![
+        row(PART_CASES[0], seq, compute),
+        row(PART_CASES[1], seq, fifo),
+        row(PART_CASES[2], seq, lane_issue),
+        row(PART_CASES[3], seq, cu_issue(&config)),
+        row(PART_CASES[4], seq, cu_issue(&traced)),
+    ]
 }
 
 /// Renders rows (plus host metadata) as a JSON object, collecting run
@@ -160,7 +285,18 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let rows = hotpath_bench(&cfg, 1);
-        assert_eq!(rows.len(), ALL_KERNELS.len() * BENCH_BACKENDS.len());
+        assert_eq!(
+            rows.len(),
+            ALL_KERNELS.len() * BENCH_BACKENDS.len() + PART_CASES.len()
+        );
+        let parts: Vec<&str> = rows
+            .iter()
+            .rev()
+            .take(PART_CASES.len())
+            .rev()
+            .map(|r| r.case.as_str())
+            .collect();
+        assert_eq!(parts, PART_CASES);
         for r in &rows {
             assert!(r.instructions > 0, "{}: no instructions", r.case);
             assert!(r.instr_per_sec > 0.0, "{}: no throughput", r.case);

@@ -50,7 +50,7 @@ pub use ablation::{
 };
 pub use bench_hotpath::{
     backend_label, hotpath_bench, rows_to_json, rows_to_json_with_meta, BenchRow,
-    BENCH_BACKENDS,
+    BENCH_BACKENDS, PART_CASES,
 };
 pub use campaign::{
     merge_shard_documents, run_campaign, run_campaign_observed, run_campaign_sharded,

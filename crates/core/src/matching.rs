@@ -94,7 +94,10 @@ impl MatchPolicy {
         false
     }
 
-    fn matches_direct(&self, incoming: &Operands, stored: &Operands) -> bool {
+    /// Tests `incoming` against `stored` as given, without trying the
+    /// swapped operand order.
+    #[inline]
+    pub(crate) fn matches_direct(&self, incoming: &Operands, stored: &Operands) -> bool {
         if incoming.arity() != stored.arity() {
             return false;
         }

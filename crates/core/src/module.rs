@@ -1,6 +1,6 @@
 //! The per-FPU temporal memoization module (Fig. 9 of the paper).
 
-use crate::{resolve, Action, MatchPolicy, MemoFifo, MemoStats, MmioRegisters};
+use crate::{resolve, Action, MatchPolicy, MemoFifo, MemoStats, MmioRegisters, Reg};
 use tm_fpu::{FpOp, Operands};
 
 /// What happened on one LUT access — everything the surrounding
@@ -55,6 +55,10 @@ pub struct MemoModule {
     op: FpOp,
     fifo: MemoFifo,
     mmio: MmioRegisters,
+    /// The registers decoded on every write: the matching policy and
+    /// whether commutative matching applies to this opcode, or `None`
+    /// while power-gated.
+    decoded: Option<(MatchPolicy, bool)>,
     stats: MemoStats,
     update_after_recovery: bool,
 }
@@ -72,13 +76,22 @@ impl MemoModule {
     pub fn with_fifo(op: FpOp, policy: MatchPolicy, fifo: MemoFifo) -> Self {
         let mut mmio = MmioRegisters::new();
         mmio.set_policy(policy);
-        Self {
+        let mut module = Self {
             op,
             fifo,
             mmio,
+            decoded: None,
             stats: MemoStats::default(),
             update_after_recovery: false,
-        }
+        };
+        module.decode();
+        module
+    }
+
+    /// Re-derives the cached policy after a register write.
+    fn decode(&mut self) {
+        let commutative = self.op.is_commutative() && self.mmio.commutativity_enabled();
+        self.decoded = self.mmio.policy().map(|policy| (policy, commutative));
     }
 
     /// Creates a module with an explicit FIFO depth.
@@ -100,12 +113,13 @@ impl MemoModule {
     /// The current matching policy, or `None` while power-gated.
     #[must_use]
     pub fn policy(&self) -> Option<MatchPolicy> {
-        self.mmio.policy()
+        self.decoded.map(|(policy, _)| policy)
     }
 
     /// Reprograms the matching policy through the register file.
     pub fn set_policy(&mut self, policy: MatchPolicy) {
         self.mmio.set_policy(policy);
+        self.decode();
     }
 
     /// Power-gates (or re-enables) the module. Gating clears the FIFO —
@@ -115,12 +129,13 @@ impl MemoModule {
             self.fifo.clear();
         }
         self.mmio.set_enabled(enabled);
+        self.decode();
     }
 
     /// Whether the module is enabled.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.mmio.is_enabled()
+    pub const fn is_enabled(&self) -> bool {
+        self.decoded.is_some()
     }
 
     /// When set, a miss-with-error access inserts the *replayed* (recovered,
@@ -130,15 +145,19 @@ impl MemoModule {
         self.update_after_recovery = yes;
     }
 
-    /// The register file (for MMIO-level programming).
+    /// The register file, for reads.
     #[must_use]
     pub const fn mmio(&self) -> &MmioRegisters {
         &self.mmio
     }
 
-    /// Mutable register file access.
-    pub fn mmio_mut(&mut self) -> &mut MmioRegisters {
-        &mut self.mmio
+    /// Writes one MMIO register and re-decodes the policy it programs.
+    ///
+    /// Unlike [`MemoModule::set_enabled`], clearing the enable bit here
+    /// does not clear the FIFO: this is the raw register write.
+    pub fn write_reg(&mut self, reg: Reg, value: u32) {
+        self.mmio.write(reg, value);
+        self.decode();
     }
 
     /// The LUT storage.
@@ -194,7 +213,7 @@ impl MemoModule {
         compute: impl FnOnce() -> f32,
         error: bool,
     ) -> AccessOutcome {
-        let Some(policy) = self.mmio.policy() else {
+        let Some((policy, commutative)) = self.decoded else {
             // Power-gated: plain baseline behaviour, no lookup, no stats.
             let result = compute();
             return AccessOutcome {
@@ -208,7 +227,6 @@ impl MemoModule {
             };
         };
 
-        let commutative = self.op.is_commutative() && self.mmio.commutativity_enabled();
         self.stats.lookups += 1;
         if error {
             self.stats.errors_seen += 1;
@@ -299,12 +317,29 @@ mod tests {
     #[test]
     fn commutativity_respects_mmio_bit() {
         let mut m = module();
-        let ctrl = m.mmio().read(crate::Reg::Ctrl);
-        m.mmio_mut()
-            .write(crate::Reg::Ctrl, ctrl & !crate::CTRL_COMMUTATIVE);
+        let ctrl = m.mmio().read(Reg::Ctrl);
+        m.write_reg(Reg::Ctrl, ctrl & !crate::CTRL_COMMUTATIVE);
         m.access(Operands::binary(1.0, 2.0), || 3.0, false);
         let out = m.access(Operands::binary(2.0, 1.0), || 3.0, false);
         assert!(!out.hit);
+    }
+
+    #[test]
+    fn register_writes_reprogram_the_cached_policy() {
+        let mut m = MemoModule::new(FpOp::Mul, MatchPolicy::Exact);
+        m.write_reg(Reg::Threshold, 0.5f32.to_bits());
+        m.write_reg(
+            Reg::Ctrl,
+            m.mmio().read(Reg::Ctrl) | crate::CTRL_THRESHOLD_MODE,
+        );
+        assert_eq!(m.policy(), Some(MatchPolicy::Threshold(0.5)));
+        m.access(Operands::binary(2.0, 2.0), || 4.0, false);
+        assert!(m.access(Operands::binary(2.25, 2.0), || 4.5, false).hit);
+        // A raw write of the enable bit gates the module but keeps the FIFO.
+        m.write_reg(Reg::Ctrl, m.mmio().read(Reg::Ctrl) & !crate::CTRL_ENABLE);
+        assert!(!m.is_enabled() && m.policy().is_none());
+        assert!(m.access(Operands::binary(2.0, 2.0), || 4.0, false).bypassed);
+        assert_eq!(m.fifo().len(), 1);
     }
 
     #[test]

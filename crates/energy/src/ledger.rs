@@ -119,6 +119,49 @@ impl EnergyLedger {
         self.breakdown.recovery_pj += Self::validate(pj);
     }
 
+    /// Charges many identical per-lane charges at once: component `i`
+    /// of `quanta`, in [`EnergyBreakdown::named_components`] order, is
+    /// added `counts[i]` times.
+    ///
+    /// Each quantum with a non-zero count is validated once, and the
+    /// additions happen one at a time, so the totals are bit-identical to
+    /// the same sequence of single charges — one `count × quantum`
+    /// addition would round differently.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tm_energy::{EnergyBreakdown, EnergyLedger};
+    ///
+    /// let quanta = EnergyBreakdown { fpu_exec_pj: 0.1, hit_pj: 0.03, ..Default::default() };
+    /// let mut batched = EnergyLedger::new();
+    /// batched.charge_repeated(&quanta, [3, 2, 0, 0, 0]);
+    /// let mut single = EnergyLedger::new();
+    /// for _ in 0..3 { single.charge_exec(0.1); }
+    /// for _ in 0..2 { single.charge_hit(0.03); }
+    /// assert_eq!(batched, single);
+    /// ```
+    pub fn charge_repeated(&mut self, quanta: &EnergyBreakdown, counts: [u32; 5]) {
+        let b = &mut self.breakdown;
+        let accumulators = [
+            (&mut b.fpu_exec_pj, quanta.fpu_exec_pj),
+            (&mut b.hit_pj, quanta.hit_pj),
+            (&mut b.lut_lookup_pj, quanta.lut_lookup_pj),
+            (&mut b.lut_update_pj, quanta.lut_update_pj),
+            (&mut b.recovery_pj, quanta.recovery_pj),
+        ];
+        for ((acc, pj), n) in accumulators.into_iter().zip(counts) {
+            if n > 0 {
+                let pj = Self::validate(pj);
+                let mut sum = *acc;
+                for _ in 0..n {
+                    sum += pj;
+                }
+                *acc = sum;
+            }
+        }
+    }
+
     /// The accumulated per-component totals.
     #[must_use]
     pub const fn breakdown(&self) -> EnergyBreakdown {

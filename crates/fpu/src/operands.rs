@@ -33,6 +33,7 @@ pub struct Operands {
 impl Operands {
     /// Creates a unary operand set.
     #[must_use]
+    #[inline]
     pub const fn unary(src0: f32) -> Self {
         Self {
             values: [src0, 0.0, 0.0],
@@ -42,6 +43,7 @@ impl Operands {
 
     /// Creates a binary operand set.
     #[must_use]
+    #[inline]
     pub const fn binary(src0: f32, src1: f32) -> Self {
         Self {
             values: [src0, src1, 0.0],
@@ -51,6 +53,7 @@ impl Operands {
 
     /// Creates a ternary operand set.
     #[must_use]
+    #[inline]
     pub const fn ternary(src0: f32, src1: f32, src2: f32) -> Self {
         Self {
             values: [src0, src1, src2],
@@ -80,6 +83,7 @@ impl Operands {
 
     /// Number of meaningful operands.
     #[must_use]
+    #[inline]
     pub const fn arity(&self) -> usize {
         self.arity as usize
     }
@@ -92,6 +96,7 @@ impl Operands {
 
     /// The meaningful operands as a slice.
     #[must_use]
+    #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.values[..self.arity()]
     }
@@ -104,6 +109,7 @@ impl Operands {
     ///
     /// Panics if the arity is 1 (there is nothing to swap).
     #[must_use]
+    #[inline]
     pub fn swapped(&self) -> Self {
         assert!(self.arity() >= 2, "cannot swap operands of a unary set");
         let mut out = *self;
@@ -116,6 +122,7 @@ impl Operands {
     /// Exposed so downstream code (e.g. the LUT's masked comparators) can
     /// operate on the fraction bits directly.
     #[must_use]
+    #[inline]
     pub fn bits(&self) -> [u32; MAX_ARITY] {
         [
             self.values[0].to_bits(),
@@ -131,6 +138,7 @@ impl Operands {
     /// when arities differ or any compared pair involves a `NaN`, so that a
     /// thresholded comparison can never accept such a pair.
     #[must_use]
+    #[inline]
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         if self.arity != other.arity {
             return f32::INFINITY;
@@ -148,6 +156,7 @@ impl Operands {
 }
 
 impl PartialEq for Operands {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.arity == other.arity
             && self

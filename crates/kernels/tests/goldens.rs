@@ -10,8 +10,19 @@
 //! The digests were recorded from the host-closure kernels that the
 //! vector programs replaced; a change that alters any simulated bit of
 //! any workload fails here.
+//!
+//! `GOLDENS` runs only the default configuration (exact matching, the
+//! memoized architecture, a 2-entry FIFO, no gate, no observers). The
+//! `VARIANT_GOLDENS` cover the memo paths it does not reach: Table-1
+//! threshold matching, the baseline and spatial architectures, a deeper
+//! LRU FIFO under a masking vector, and an adaptive gate that trips.
+//! Each variant digest folds all seven kernels × {clean, injected}; the
+//! digests were recorded on the sink-pipeline issue loop, before the
+//! counts-first rewrite of the execute stage, and pass unchanged after
+//! it.
 
-use tm_kernels::{workload, KernelId, Scale, ALL_KERNELS};
+use tm_core::{fraction_mask, GatePolicy, Replacement};
+use tm_kernels::{calibrated_threshold, workload, KernelId, Scale, ALL_KERNELS};
 use tm_sim::prelude::*;
 
 const SEED: u64 = 33;
@@ -112,25 +123,41 @@ fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-fn config(backend: ExecBackend, inject: bool) -> DeviceConfig {
-    let mut builder = DeviceConfig::builder()
+fn builder(backend: ExecBackend, inject: bool) -> DeviceConfigBuilder {
+    let builder = DeviceConfig::builder()
         .with_compute_units(2)
         .with_seed(0x1D)
         .with_backend(backend);
     if inject {
-        builder = builder.with_error_mode(ErrorMode::FixedRate(0.02));
+        builder.with_error_mode(ErrorMode::FixedRate(0.02))
+    } else {
+        builder
     }
-    builder.build().unwrap()
+}
+
+fn config(backend: ExecBackend, inject: bool) -> DeviceConfig {
+    builder(backend, inject).build().unwrap()
+}
+
+/// Runs one launch of `id` on a fresh device built from `config`.
+fn run(id: KernelId, config: DeviceConfig) -> (Vec<f32>, Device) {
+    let mut wl = workload::build(id, Scale::Test, SEED);
+    let mut device = Device::new(config);
+    let out = wl.run(&mut device);
+    (out, device)
+}
+
+fn digests(out: &[f32], report: &DeviceReport) -> (u64, u64) {
+    let report_digest = fnv1a64(format!("{report:?}").into_bytes());
+    let output_digest = fnv1a64(out.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+    (report_digest, output_digest)
 }
 
 /// One launch's `(report digest, output digest, report)`.
 fn launch(id: KernelId, backend: ExecBackend, inject: bool) -> (u64, u64, DeviceReport) {
-    let mut wl = workload::build(id, Scale::Test, SEED);
-    let mut device = Device::new(config(backend, inject));
-    let out = wl.run(&mut device);
+    let (out, device) = run(id, config(backend, inject));
     let report = device.report();
-    let report_digest = fnv1a64(format!("{report:?}").into_bytes());
-    let output_digest = fnv1a64(out.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+    let (report_digest, output_digest) = digests(&out, &report);
     (report_digest, output_digest, report)
 }
 
@@ -169,4 +196,128 @@ fn injection_suite_actually_injects() {
         report.errors_injected > 0,
         "2% rate must inject at Test scale"
     );
+}
+
+#[test]
+fn observers_change_no_simulated_bit() {
+    // Trace, online locality and a metrics window all installed: every
+    // launch must still reproduce the default-configuration goldens.
+    for &(id, inject, report_digest, output_digest) in &GOLDENS {
+        for backend in BACKENDS {
+            let observed = builder(backend, inject)
+                .with_trace_depth(256)
+                .with_locality_tracking()
+                .with_metrics_window(64)
+                .build()
+                .unwrap();
+            let (out, device) = run(id, observed);
+            assert_eq!(
+                digests(&out, &device.report()),
+                (report_digest, output_digest),
+                "{id} on {backend:?} (inject={inject}): observers changed the result"
+            );
+            assert!(
+                device.trace_events().next().is_some(),
+                "{id}: trace recorded"
+            );
+        }
+    }
+}
+
+/// A configuration the default-configuration goldens do not reach.
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    /// Table-1 threshold matching (`calibrated_threshold`).
+    Threshold,
+    /// The baseline architecture: no memoization hardware.
+    Baseline,
+    /// Spatial (intra-slot, cross-lane) reuse.
+    Spatial,
+    /// A depth-4 LRU FIFO matching under an 8-bit fraction mask.
+    DeepLruMask,
+    /// An adaptive gate tight enough to trip at test scale.
+    Gated,
+}
+
+/// A gate policy that trips on the low-locality test-scale streams.
+const TRIPPING_GATE: GatePolicy = GatePolicy {
+    window: 16,
+    min_hit_rate: 0.5,
+    gate_period: 32,
+    consecutive_windows: 1,
+};
+
+/// `(variant, digest over 7 kernels × {clean, injected})`, recorded on
+/// the sink-pipeline issue loop.
+const VARIANT_GOLDENS: [(Variant, u64); 5] = [
+    (Variant::Threshold, 0xa520_c613_1941_02fe),
+    (Variant::Baseline, 0x0af4_326f_33f9_06e6),
+    (Variant::Spatial, 0x4ff7_4976_fb2c_3835),
+    (Variant::DeepLruMask, 0xba16_f798_bf70_ef7c),
+    (Variant::Gated, 0x7153_e1eb_b868_4a51),
+];
+
+fn variant_config(
+    variant: Variant,
+    id: KernelId,
+    backend: ExecBackend,
+    inject: bool,
+) -> DeviceConfig {
+    let b = builder(backend, inject);
+    match variant {
+        Variant::Threshold => b.with_policy(MatchPolicy::threshold(calibrated_threshold(id))),
+        Variant::Baseline => b.with_arch(ArchMode::Baseline),
+        Variant::Spatial => b.with_arch(ArchMode::Spatial),
+        Variant::DeepLruMask => b
+            .with_fifo_depth(4)
+            .with_replacement(Replacement::Lru)
+            .with_policy(MatchPolicy::MaskBits(fraction_mask(8))),
+        Variant::Gated => b.with_adaptive_gate(TRIPPING_GATE),
+    }
+    .build()
+    .unwrap()
+}
+
+/// Total adaptive-gate trips across a device's lane units.
+fn times_gated(device: &Device) -> u64 {
+    device
+        .compute_units()
+        .iter()
+        .flat_map(|cu| cu.stream_cores())
+        .flat_map(|sc| sc.units())
+        .filter_map(|(_, unit)| unit.gate().map(|g| g.times_gated()))
+        .sum()
+}
+
+/// One variant's digest over every kernel, clean then injected, and the
+/// adaptive-gate trips it saw.
+fn variant_digest(variant: Variant, backend: ExecBackend) -> (u64, u64) {
+    let mut bytes = Vec::new();
+    let mut gated = 0;
+    for inject in [false, true] {
+        for id in ALL_KERNELS {
+            let (out, device) = run(id, variant_config(variant, id, backend, inject));
+            let (report, output) = digests(&out, &device.report());
+            bytes.extend_from_slice(&report.to_le_bytes());
+            bytes.extend_from_slice(&output.to_le_bytes());
+            gated += times_gated(&device);
+        }
+    }
+    (fnv1a64(bytes), gated)
+}
+
+#[test]
+fn variant_configurations_match_their_goldens_on_every_backend() {
+    for (variant, golden) in VARIANT_GOLDENS {
+        for backend in BACKENDS {
+            let (digest, gated) = variant_digest(variant, backend);
+            assert_eq!(
+                digest, golden,
+                "{variant:?} on {backend:?}: digest {digest:#018x} drifted"
+            );
+            if matches!(variant, Variant::Gated) {
+                assert!(gated > 0, "the gated variant must actually trip its gate");
+            }
+        }
+    }
 }

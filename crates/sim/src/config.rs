@@ -97,12 +97,14 @@ pub enum ConfigError {
     },
     /// `fifo_depth == 0`.
     ZeroFifoDepth,
-    /// The effective per-instruction error rate is not a probability.
+    /// The effective per-instruction error rate (or, under
+    /// [`ErrorMode::PerStageRate`], the per-stage rate) is not a
+    /// probability.
     ErrorRateOutOfRange {
-        /// The offending effective rate.
+        /// The offending rate.
         rate: f64,
     },
-    /// `vdd <= 0`.
+    /// `vdd` is not positive and finite.
     NonPositiveVdd {
         /// The offending supply voltage.
         vdd: f64,
@@ -125,7 +127,7 @@ impl fmt::Display for ConfigError {
             ),
             Self::ZeroFifoDepth => write!(f, "FIFO depth must be at least 1"),
             Self::ErrorRateOutOfRange { rate } => write!(f, "error rate {rate} out of range"),
-            Self::NonPositiveVdd { vdd } => write!(f, "vdd must be positive, got {vdd}"),
+            Self::NonPositiveVdd { vdd } => write!(f, "vdd must be positive and finite, got {vdd}"),
             Self::ZeroMetricsWindow => write!(f, "metrics window width must be non-zero"),
         }
     }
@@ -309,12 +311,21 @@ impl DeviceConfig {
         if self.fifo_depth == 0 {
             return Err(ConfigError::ZeroFifoDepth);
         }
+        // Both inputs of the rate computation are checked first: the
+        // voltage model and the EDS chain panic on values outside their
+        // domain. Once they hold, every per-op rate is a probability
+        // whenever the 4-stage one is (the issue loop relies on this).
+        if !(self.vdd > 0.0 && self.vdd.is_finite()) {
+            return Err(ConfigError::NonPositiveVdd { vdd: self.vdd });
+        }
+        if let ErrorMode::PerStageRate(p) = self.error_mode {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(ConfigError::ErrorRateOutOfRange { rate: p });
+            }
+        }
         let rate = self.effective_error_rate();
         if !(0.0..=1.0).contains(&rate) {
             return Err(ConfigError::ErrorRateOutOfRange { rate });
-        }
-        if self.vdd <= 0.0 {
-            return Err(ConfigError::NonPositiveVdd { vdd: self.vdd });
         }
         if self.metrics_window == Some(0) {
             return Err(ConfigError::ZeroMetricsWindow);
@@ -594,6 +605,33 @@ mod tests {
             DeviceConfig::builder().with_vdd(-0.1).build(),
             Err(ConfigError::NonPositiveVdd { vdd: -0.1 })
         );
+        // The rate's inputs are checked before the rate is computed: the
+        // voltage model and the EDS chain would panic on these.
+        assert_eq!(
+            DeviceConfig::builder()
+                .with_error_mode(ErrorMode::FromVoltage)
+                .with_vdd(0.0)
+                .build(),
+            Err(ConfigError::NonPositiveVdd { vdd: 0.0 })
+        );
+        assert_eq!(
+            DeviceConfig::builder()
+                .with_error_mode(ErrorMode::PerStageRate(1.5))
+                .build(),
+            Err(ConfigError::ErrorRateOutOfRange { rate: 1.5 })
+        );
+        assert!(matches!(
+            DeviceConfig::builder()
+                .with_error_mode(ErrorMode::PerStageRate(f64::NAN))
+                .build(),
+            Err(ConfigError::ErrorRateOutOfRange { rate }) if rate.is_nan()
+        ));
+        for vdd in [f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                DeviceConfig::builder().with_vdd(vdd).build(),
+                Err(ConfigError::NonPositiveVdd { .. })
+            ));
+        }
         assert_eq!(
             DeviceConfig::builder().with_metrics_window(0).build(),
             Err(ConfigError::ZeroMetricsWindow)

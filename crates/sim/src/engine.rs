@@ -12,12 +12,13 @@
 //!   calling thread — the reference semantics.
 //! - [`ParallelEngine`] runs one `std::thread` scoped worker per compute
 //!   unit. Because every mutable per-run state (FIFOs, injector, ECU,
-//!   energy ledger, sinks) is owned by its [`ComputeUnit`], and each CU
-//!   processes exactly the wavefronts the schedule assigns it *in the
-//!   same order* as the sequential engine, the per-CU end states are
-//!   identical — and [`crate::Device::report`] merges them in CU index
-//!   order, so the [`crate::DeviceReport`] is **bit-identical** across
-//!   backends (floating-point sums included).
+//!   energy ledger, tallies, observers) is owned by its
+//!   [`ComputeUnit`], and each CU processes exactly the wavefronts the
+//!   schedule assigns it *in the same order* as the sequential engine,
+//!   the per-CU end states are identical — and
+//!   [`crate::Device::report`] merges them in CU index order, so the
+//!   [`crate::DeviceReport`] is **bit-identical** across backends
+//!   (floating-point sums included).
 //!
 //! Workers run against snapshots of the bindings, journal their
 //! scatters and replay them in CU index order, falling back to the

@@ -90,10 +90,7 @@ pub use engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};
 pub use obs::DeviceObs;
 pub use pool::{DevicePool, PoolStats};
 pub use report::{DeviceReport, OpReport};
-pub use sink::{
-    EventSink, LaneEvent, LaneEventKind, MetricsSink, SinkKind, SinkPipeline, VectorEvent,
-    METRICS_CHANNELS,
-};
+pub use sink::{LocalitySink, MetricsSink, METRICS_CHANNELS};
 pub use snapshot::{DeviceSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use stream_core::{LaneUnit, StreamCore};
 pub use trace::{TraceBuffer, TraceEvent};

@@ -8,7 +8,7 @@
 //! * per-CU cycle counters, ECU recovery tallies and error-injector RNG
 //!   states (raw PCG32 words, serialized as hex strings — `f64` JSON
 //!   numbers cannot hold full 64-bit words),
-//! * per-CU sink state: per-op tallies, the energy ledger breakdown and
+//! * per-CU accounting: per-op tallies, the energy ledger breakdown and
 //!   (when configured) the windowed metrics series,
 //! * per-SC per-op lane units: MMIO registers, memo FIFO contents
 //!   (operand/result IEEE-754 bit patterns, oldest entry first), memo
@@ -480,39 +480,32 @@ fn restore_cu(
             .map_err(|e| schema(&format!("{path}.injectors[{i}]"), e))?;
     }
 
-    // Sinks: stats, energy and (when configured) metrics.
-    let sinks = cu.sinks_mut();
-    if let Some(stats) = sinks.stats_mut() {
-        let map = stats.tallies_mut();
-        map.clear();
-        for (op, tally) in &state.tallies {
-            map.insert(*op, *tally);
+    // Accounting: tallies, energy and (when configured) metrics.
+    let tallies = cu.tallies_mut();
+    tallies.clear();
+    tallies.extend(state.tallies.iter().copied());
+    let b = &state.energy;
+    for (name, pj) in [
+        ("fpu_exec_pj", b.fpu_exec_pj),
+        ("hit_pj", b.hit_pj),
+        ("lut_lookup_pj", b.lut_lookup_pj),
+        ("lut_update_pj", b.lut_update_pj),
+        ("recovery_pj", b.recovery_pj),
+    ] {
+        if !pj.is_finite() || pj < 0.0 {
+            return Err(schema(
+                &format!("{path}.energy.{name}"),
+                format!("energy must be finite and non-negative, got {pj}"),
+            ));
         }
     }
-    if let Some(energy) = sinks.energy_mut() {
-        let b = &state.energy;
-        for (name, pj) in [
-            ("fpu_exec_pj", b.fpu_exec_pj),
-            ("hit_pj", b.hit_pj),
-            ("lut_lookup_pj", b.lut_lookup_pj),
-            ("lut_update_pj", b.lut_update_pj),
-            ("recovery_pj", b.recovery_pj),
-        ] {
-            if !pj.is_finite() || pj < 0.0 {
-                return Err(schema(
-                    &format!("{path}.energy.{name}"),
-                    format!("energy must be finite and non-negative, got {pj}"),
-                ));
-            }
-        }
-        let ledger = energy.ledger_mut();
-        ledger.reset();
-        ledger.charge_exec(b.fpu_exec_pj);
-        ledger.charge_hit(b.hit_pj);
-        ledger.charge_lut_lookup(b.lut_lookup_pj);
-        ledger.charge_lut_update(b.lut_update_pj);
-        ledger.charge_recovery(b.recovery_pj);
-    }
+    let ledger = cu.ledger_mut();
+    ledger.reset();
+    ledger.charge_exec(b.fpu_exec_pj);
+    ledger.charge_hit(b.hit_pj);
+    ledger.charge_lut_lookup(b.lut_lookup_pj);
+    ledger.charge_lut_update(b.lut_update_pj);
+    ledger.charge_recovery(b.recovery_pj);
     match (config.metrics_window, &state.metrics) {
         (None, None) => {}
         (None, Some(_)) => {
@@ -532,13 +525,12 @@ fn restore_cu(
             let total = build_series(&metrics.total, window, &format!("{mpath}.total"))?;
             let mut per_op = Vec::with_capacity(metrics.per_op.len());
             for (op, s) in &metrics.per_op {
-                let series =
-                    build_series(s, window, &format!("{mpath}.per_op.{}", op.mnemonic()))?;
+                let series = build_series(s, window, &format!("{mpath}.per_op.{}", op.mnemonic()))?;
                 per_op.push((*op, series));
             }
-            let sink = cu.sinks_mut().metrics_mut().ok_or_else(|| {
-                schema(&mpath, "device has no metrics sink despite the config")
-            })?;
+            let sink = cu
+                .metrics_mut()
+                .ok_or_else(|| schema(&mpath, "device has no metrics sink despite the config"))?;
             sink.restore_series(total, per_op);
         }
     }
@@ -558,11 +550,11 @@ fn restore_cu(
             validate_unit(unit_state, config, &upath)?;
             let unit = cu.stream_cores_mut()[sc_index].unit_mut(unit_state.op, config);
             let memo = unit.memo_mut();
-            // Raw register writes first: `write` does not clear the
+            // Raw register writes first: `write_reg` does not clear the
             // FIFO, unlike `set_enabled(false)`.
-            memo.mmio_mut().write(Reg::Ctrl, unit_state.ctrl);
-            memo.mmio_mut().write(Reg::Mask, unit_state.mask);
-            memo.mmio_mut().write(Reg::Threshold, unit_state.threshold_bits);
+            memo.write_reg(Reg::Ctrl, unit_state.ctrl);
+            memo.write_reg(Reg::Mask, unit_state.mask);
+            memo.write_reg(Reg::Threshold, unit_state.threshold_bits);
             for entry in &unit_state.fifo {
                 let operands: Vec<f32> =
                     entry.operand_bits.iter().map(|&b| f32::from_bits(b)).collect();
@@ -1638,6 +1630,22 @@ mod tests {
             DeviceSnapshot::from_json(&bad_config),
             Err(SnapshotError::Config(ConfigError::NoComputeUnits))
         ));
+        // A voltage-derived error rate at a non-positive supply is a
+        // Config error, not a panic in the voltage model.
+        let from_voltage = good.replacen(
+            "{\"kind\":\"fixed_rate\",\"rate\":0.05}",
+            "{\"kind\":\"from_voltage\"}",
+            1,
+        );
+        assert_ne!(from_voltage, good);
+        for vdd in ["0", "-0.9"] {
+            let doc = from_voltage.replacen("\"vdd\":0.9", &format!("\"vdd\":{vdd}"), 1);
+            assert_ne!(doc, from_voltage);
+            assert!(matches!(
+                DeviceSnapshot::from_json(&doc),
+                Err(SnapshotError::Config(ConfigError::NonPositiveVdd { .. }))
+            ));
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Stream cores and their per-opcode lane units.
 
 use crate::config::{ArchMode, DeviceConfig};
-use std::collections::BTreeMap;
 use tm_core::{AccessOutcome, AdaptiveGate, MemoFifo, MemoModule};
-use tm_fpu::{Fpu, FpOp, Operands};
+use tm_fpu::{FpOp, Fpu, Operands, ALL_OPS};
 
 /// One FPU plus its tightly coupled memoization module.
 #[derive(Debug, Clone)]
@@ -125,9 +124,17 @@ impl LaneUnit {
 /// A stream core: one SIMD lane of a compute unit, holding a private
 /// [`LaneUnit`] — and therefore a private memoization FIFO — per opcode,
 /// the granularity at which the paper measures value locality.
+///
+/// Units materialize on first use. A 27-byte table indexed by
+/// [`FpOp::index`] points into a vector holding only the activated
+/// units, so finding a lane's unit is an array read while an idle opcode
+/// costs one byte.
 #[derive(Debug, Clone, Default)]
 pub struct StreamCore {
-    units: BTreeMap<FpOp, LaneUnit>,
+    /// `slot[op.index()]` is one plus the position of `op`'s unit in
+    /// `units`, or 0 when `op` never executed here.
+    slot: [u8; ALL_OPS.len()],
+    units: Vec<LaneUnit>,
 }
 
 impl StreamCore {
@@ -139,26 +146,36 @@ impl StreamCore {
 
     /// The lane unit for `op`, creating it on first use.
     pub fn unit_mut(&mut self, op: FpOp, config: &DeviceConfig) -> &mut LaneUnit {
-        self.units
-            .entry(op)
-            .or_insert_with(|| LaneUnit::new(op, config))
+        let slot = &mut self.slot[op.index()];
+        if *slot == 0 {
+            self.units.push(LaneUnit::new(op, config));
+            // At most `ALL_OPS.len()` (27) units, so the index fits.
+            *slot = self.units.len() as u8;
+        }
+        &mut self.units[usize::from(*slot) - 1]
     }
 
     /// The lane unit for `op`, if this core ever executed one.
     #[must_use]
     pub fn unit(&self, op: FpOp) -> Option<&LaneUnit> {
-        self.units.get(&op)
+        let slot = self.slot[op.index()];
+        (slot != 0).then(|| &self.units[usize::from(slot) - 1])
     }
 
-    /// Iterates over the instantiated (activated) units.
+    /// Iterates over the instantiated (activated) units in [`FpOp`]
+    /// order.
     pub fn units(&self) -> impl Iterator<Item = (&FpOp, &LaneUnit)> {
-        self.units.iter()
+        ALL_OPS
+            .iter()
+            .zip(self.slot)
+            .filter(|&(_, slot)| slot != 0)
+            .map(|(op, slot)| (op, &self.units[usize::from(slot) - 1]))
     }
 
     /// Resets every unit's memoization statistics (FIFO contents are
     /// preserved).
     pub fn reset_stats(&mut self) {
-        for unit in self.units.values_mut() {
+        for unit in &mut self.units {
             unit.reset_stats();
         }
     }
@@ -180,6 +197,19 @@ mod tests {
         sc.unit_mut(FpOp::Add, &config());
         assert!(sc.unit(FpOp::Add).is_some());
         assert_eq!(sc.units().count(), 1);
+    }
+
+    #[test]
+    fn units_iterate_in_opcode_order_whatever_the_activation_order() {
+        let mut sc = StreamCore::new();
+        for op in ALL_OPS.iter().rev() {
+            sc.unit_mut(*op, &config());
+        }
+        let order: Vec<FpOp> = sc.units().map(|(op, _)| *op).collect();
+        assert_eq!(order, ALL_OPS);
+        for (op, unit) in sc.units() {
+            assert_eq!(unit.fpu().op(), *op);
+        }
     }
 
     #[test]

@@ -72,7 +72,54 @@ fn observability_never_perturbs_results_and_traces_every_backend() {
             "{backend:?}: tracing must not change kernel output"
         );
 
-        // The metrics sink accounts for every lane the report counted.
+        // The metrics sink accounts for every lane the report counted,
+        // and on the default architecture its hit, error, masked and
+        // recovery channels equal the report's counts exactly.
+        let report = traced.report();
+        let channel = |c: usize| -> u64 {
+            traced
+                .compute_units()
+                .iter()
+                .map(|cu| cu.metrics().unwrap().total().channel_total(c) as u64)
+                .sum()
+        };
+        let stats = |f: fn(&tm_core::MemoStats) -> u64| -> u64 {
+            report.per_op.iter().map(|r| f(&r.stats)).sum()
+        };
+        assert_eq!(
+            channel(MetricsSink::LANES),
+            report.total_instructions(),
+            "{backend:?}: lanes"
+        );
+        assert_eq!(
+            channel(MetricsSink::HITS),
+            stats(|s| s.hits),
+            "{backend:?}: hits"
+        );
+        assert_eq!(
+            channel(MetricsSink::ERRORS),
+            report.errors_injected,
+            "{backend:?}: errors"
+        );
+        assert!(
+            report.errors_injected > 0,
+            "{backend:?}: the 5% rate must inject"
+        );
+        assert_eq!(
+            channel(MetricsSink::MASKED),
+            stats(|s| s.masked_errors),
+            "{backend:?}: masked errors"
+        );
+        assert_eq!(
+            channel(MetricsSink::RECOVERIES),
+            report.recoveries,
+            "{backend:?}: recoveries"
+        );
+        assert_eq!(
+            report.recoveries,
+            stats(|s| s.recoveries),
+            "{backend:?}: ECU vs memo recoveries"
+        );
         for (cu_idx, cu) in traced.compute_units().iter().enumerate() {
             let m = cu.metrics().expect("metrics sink configured");
             let lanes = m.total().channel_total(MetricsSink::LANES);

@@ -87,6 +87,35 @@ enum SamplerKind {
     },
 }
 
+/// A per-instruction error rate checked to be a probability, so a
+/// caller drawing many verdicts at one rate checks it once.
+///
+/// # Examples
+///
+/// ```
+/// use tm_timing::error_model::ErrorRate;
+///
+/// assert_eq!(ErrorRate::new(0.02).map(ErrorRate::get), Some(0.02));
+/// assert!(ErrorRate::new(1.5).is_none());
+/// assert!(ErrorRate::new(f64::NAN).is_none());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ErrorRate(f64);
+
+impl ErrorRate {
+    /// `rate` if it lies in `[0, 1]` (NaN does not).
+    #[must_use]
+    pub fn new(rate: f64) -> Option<Self> {
+        (0.0..=1.0).contains(&rate).then_some(Self(rate))
+    }
+
+    /// The probability.
+    #[must_use]
+    pub const fn get(self) -> f64 {
+        self.0
+    }
+}
+
 /// One stream core's deterministic timing-error stream, built by an
 /// [`ErrorModel`].
 ///
@@ -122,14 +151,22 @@ impl ErrorSampler {
     ///
     /// Panics unless `base_rate` is a probability.
     pub fn sample_with_rate(&mut self, base_rate: f64) -> bool {
-        assert!(
-            (0.0..=1.0).contains(&base_rate),
-            "error rate must be a probability, got {base_rate}"
-        );
+        let rate = ErrorRate::new(base_rate)
+            .unwrap_or_else(|| panic!("error rate must be a probability, got {base_rate}"));
+        self.sample(rate)
+    }
+
+    /// [`ErrorSampler::sample_with_rate`] at a rate checked once by the
+    /// caller — the issue loop checks each instruction's rate and then
+    /// draws one verdict per lane.
+    #[inline]
+    pub fn sample(&mut self, rate: ErrorRate) -> bool {
         self.drawn += 1;
-        if base_rate == 0.0 {
-            return false;
-        }
+        rate.get() != 0.0 && self.draw(rate.get())
+    }
+
+    /// The draw behind a non-zero base rate.
+    fn draw(&mut self, base_rate: f64) -> bool {
         let p = match &mut self.kind {
             SamplerKind::Scaled { factor } => (base_rate * *factor).min(1.0),
             SamplerKind::Absolute { rate } => *rate,

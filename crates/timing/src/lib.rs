@@ -51,7 +51,7 @@ mod voltage;
 pub use ecu::{Ecu, RecoveryPolicy};
 pub use eds::EdsChain;
 pub use error_model::{
-    BurstErrors, Corner, ErrorModel, ErrorModelSpec, ErrorSampler, ErrorSamplerState,
+    BurstErrors, Corner, ErrorModel, ErrorModelSpec, ErrorRate, ErrorSampler, ErrorSamplerState,
     HeterogeneousErrors, UniformErrors, VoltageCoupledErrors,
 };
 pub use injector::ErrorInjector;

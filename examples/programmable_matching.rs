@@ -23,10 +23,9 @@ fn main() {
     println!("\n-- programming an approximate threshold through MMIO --");
     // What a driver would do: write the threshold register, flip the
     // threshold-mode bit in CTRL.
-    let regs = module.mmio_mut();
-    regs.write(Reg::Threshold, 0.5f32.to_bits());
-    let ctrl = regs.read(Reg::Ctrl);
-    regs.write(Reg::Ctrl, ctrl | ctrl_bits::THRESHOLD_MODE);
+    module.write_reg(Reg::Threshold, 0.5f32.to_bits());
+    let ctrl = module.mmio().read(Reg::Ctrl);
+    module.write_reg(Reg::Ctrl, ctrl | ctrl_bits::THRESHOLD_MODE);
     println!("policy now: {:?}", module.policy());
     let d = module.access(Operands::unary(2.3), || unreachable!(), false);
     println!("2.3 within 0.5 of the stored 2.0: hit={}, result={}", d.hit, d.result);
