@@ -2,8 +2,8 @@
 //! evaluation.
 //!
 //! Each experiment is a pure function returning typed rows, so the same
-//! code backs the `repro` binary (human-readable tables), the Criterion
-//! benches, and the integration tests that pin the headline claims. See
+//! code backs the `repro` binary (human-readable tables) and the
+//! integration tests that pin the headline claims. See
 //! DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
 //!

@@ -20,6 +20,10 @@
 //! [`Pcg32::gen_bool`], and [`Pcg32::gen_range`] over `a..b` /
 //! `a..=b` for the common integer and float types.
 //!
+//! The workspace's property tests run on [`check`], a seeded case
+//! driver over [`Pcg32`] that prints a failing case's seed for
+//! [`replay`].
+//!
 //! # Determinism
 //!
 //! Every sequence is a pure function of the seed. There is no global
@@ -38,6 +42,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod check;
+
+pub use check::{check, finite_f32, replay};
 
 use std::ops::{Range, RangeInclusive};
 

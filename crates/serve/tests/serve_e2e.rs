@@ -62,6 +62,32 @@ fn ping_stats_and_protocol_errors_over_the_wire() {
 }
 
 #[test]
+fn restoring_a_too_deep_fifo_is_a_bad_request() {
+    let (server, _hub) = server(ServerConfig::default());
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let result = client
+        .request(r#"{"v":1,"type":"snapshot","id":"s","kernel":"sobel","scale":"test"}"#)
+        .expect("snapshot");
+    let doc = result.get_str("snapshot").expect("snapshot document");
+    // Unless the depth is bounded, restoring allocates all 10^15 slots
+    // of every stream core's FIFO, and the failed allocation aborts the
+    // whole server.
+    let deep = doc.replacen("\"fifo_depth\":2", "\"fifo_depth\":1e15", 1);
+    assert_ne!(deep, doc);
+    let mut request = tm_obs::ObjWriter::new();
+    request.u64_field("v", 1);
+    request.str_field("type", "restore");
+    request.str_field("id", "r");
+    request.str_field("snapshot", &deep);
+    let err = client.request(&request.finish()).unwrap_err();
+    let ClientError::Server { code, message } = err else { panic!("expected server error") };
+    assert_eq!(code, "bad_request");
+    assert!(message.contains("FIFO depth"), "message: {message}");
+    client.ping().expect("the server still answers");
+    server.stop();
+}
+
+#[test]
 fn a_request_that_pauses_mid_line_is_answered_whole() {
     use std::io::{BufRead, BufReader, Write};
     let (server, _hub) = server(ServerConfig::default());

@@ -79,6 +79,14 @@ impl Default for ErrorMode {
     }
 }
 
+/// The deepest memoization FIFO a [`DeviceConfig`] accepts.
+///
+/// Every stream core allocates all of its FIFO slots up front, so
+/// without a bound one edited number in a snapshot document could ask
+/// for any amount of memory, and a failed allocation aborts the process.
+/// The paper's FIFO sweep stops at 64 entries.
+pub const MAX_FIFO_DEPTH: usize = 1024;
+
 /// Why a [`DeviceConfigBuilder::build`] (or [`DeviceConfig::check`])
 /// rejected a configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +105,11 @@ pub enum ConfigError {
     },
     /// `fifo_depth == 0`.
     ZeroFifoDepth,
+    /// `fifo_depth` exceeds [`MAX_FIFO_DEPTH`].
+    FifoTooDeep {
+        /// The configured depth.
+        depth: usize,
+    },
     /// The effective per-instruction error rate (or, under
     /// [`ErrorMode::PerStageRate`], the per-stage rate) is not a
     /// probability.
@@ -108,6 +121,23 @@ pub enum ConfigError {
     NonPositiveVdd {
         /// The offending supply voltage.
         vdd: f64,
+    },
+    /// The voltage-coupled error model's supply jitter is negative or not
+    /// below `vdd`, so a stream core could be drawn a supply at or below
+    /// zero, where the voltage model is undefined.
+    VddJitterOutOfRange {
+        /// The configured jitter ([`ErrorModelSpec::VoltageCoupled`]).
+        sigma_vdd: f64,
+        /// The configured supply voltage.
+        vdd: f64,
+    },
+    /// The FPU's dynamic-energy scale `(vdd / nominal_vdd)²` (see
+    /// [`DeviceConfig::dynamic_scale`]) is not positive and finite: the
+    /// supply or the voltage model's nominal voltage is so extreme that
+    /// the square underflows to 0 or overflows to infinity.
+    DynamicScaleOutOfRange {
+        /// The computed scale.
+        scale: f64,
     },
     /// `metrics_window == Some(0)`.
     ZeroMetricsWindow,
@@ -126,8 +156,19 @@ impl fmt::Display for ConfigError {
                 "wavefront size {wavefront} must be a positive multiple of the SC count {stream_cores}"
             ),
             Self::ZeroFifoDepth => write!(f, "FIFO depth must be at least 1"),
+            Self::FifoTooDeep { depth } => {
+                write!(f, "FIFO depth {depth} exceeds the maximum {MAX_FIFO_DEPTH}")
+            }
             Self::ErrorRateOutOfRange { rate } => write!(f, "error rate {rate} out of range"),
             Self::NonPositiveVdd { vdd } => write!(f, "vdd must be positive and finite, got {vdd}"),
+            Self::VddJitterOutOfRange { sigma_vdd, vdd } => write!(
+                f,
+                "vdd jitter {sigma_vdd} must be non-negative and below vdd {vdd}"
+            ),
+            Self::DynamicScaleOutOfRange { scale } => write!(
+                f,
+                "dynamic-energy scale (vdd / nominal_vdd)^2 must be positive and finite, got {scale}"
+            ),
             Self::ZeroMetricsWindow => write!(f, "metrics window width must be non-zero"),
         }
     }
@@ -311,6 +352,11 @@ impl DeviceConfig {
         if self.fifo_depth == 0 {
             return Err(ConfigError::ZeroFifoDepth);
         }
+        if self.fifo_depth > MAX_FIFO_DEPTH {
+            return Err(ConfigError::FifoTooDeep {
+                depth: self.fifo_depth,
+            });
+        }
         // Both inputs of the rate computation are checked first: the
         // voltage model and the EDS chain panic on values outside their
         // domain. Once they hold, every per-op rate is a probability
@@ -326,6 +372,22 @@ impl DeviceConfig {
         let rate = self.effective_error_rate();
         if !(0.0..=1.0).contains(&rate) {
             return Err(ConfigError::ErrorRateOutOfRange { rate });
+        }
+        // The voltage-coupled model draws each stream core's supply from
+        // vdd ± sigma_vdd, and the voltage model panics at or below 0 V.
+        if let ErrorModelSpec::VoltageCoupled { sigma_vdd } = self.error_model {
+            if !(sigma_vdd >= 0.0 && sigma_vdd < self.vdd) {
+                return Err(ConfigError::VddJitterOutOfRange {
+                    sigma_vdd,
+                    vdd: self.vdd,
+                });
+            }
+        }
+        // Every energy charge is scaled by this, and the energy model and
+        // the ledger panic on a zero or infinite charge.
+        let scale = self.dynamic_scale();
+        if !(scale > 0.0 && scale.is_finite()) {
+            return Err(ConfigError::DynamicScaleOutOfRange { scale });
         }
         if self.metrics_window == Some(0) {
             return Err(ConfigError::ZeroMetricsWindow);
@@ -595,6 +657,14 @@ mod tests {
             DeviceConfig::builder().with_fifo_depth(0).build(),
             Err(ConfigError::ZeroFifoDepth)
         );
+        // Every stream core allocates its FIFO slots up front.
+        assert!(DeviceConfig::builder().with_fifo_depth(MAX_FIFO_DEPTH).build().is_ok());
+        for depth in [MAX_FIFO_DEPTH + 1, 1 << 40] {
+            assert_eq!(
+                DeviceConfig::builder().with_fifo_depth(depth).build(),
+                Err(ConfigError::FifoTooDeep { depth })
+            );
+        }
         assert_eq!(
             DeviceConfig::builder()
                 .with_error_mode(ErrorMode::FixedRate(1.5))
@@ -632,6 +702,34 @@ mod tests {
                 Err(ConfigError::NonPositiveVdd { .. })
             ));
         }
+        // Positive, finite supplies whose V² scale leaves the f64 range:
+        // the energy model and the ledger would panic on the first launch.
+        assert_eq!(
+            DeviceConfig::builder().with_vdd(1e-300).build(),
+            Err(ConfigError::DynamicScaleOutOfRange { scale: 0.0 })
+        );
+        assert_eq!(
+            DeviceConfig::builder().with_vdd(1e300).build(),
+            Err(ConfigError::DynamicScaleOutOfRange { scale: f64::INFINITY })
+        );
+        // The voltage-coupled model draws each stream core's supply from
+        // vdd ± sigma_vdd; the voltage model panics on one at or below 0.
+        for sigma_vdd in [-0.1, 0.9, 1.5] {
+            assert_eq!(
+                DeviceConfig::builder()
+                    .with_error_model(ErrorModelSpec::VoltageCoupled { sigma_vdd })
+                    .build(),
+                Err(ConfigError::VddJitterOutOfRange { sigma_vdd, vdd: 0.9 })
+            );
+        }
+        let huge_nominal = DeviceConfig {
+            voltage_model: VoltageModel::new(1e300, 0.85, 2.4e-4, 142.7, 0.30),
+            ..DeviceConfig::default()
+        };
+        assert_eq!(
+            huge_nominal.check(),
+            Err(ConfigError::DynamicScaleOutOfRange { scale: 0.0 })
+        );
         assert_eq!(
             DeviceConfig::builder().with_metrics_window(0).build(),
             Err(ConfigError::ZeroMetricsWindow)

@@ -84,6 +84,7 @@ pub use compiled::CompiledProgram;
 pub use compute_unit::{ComputeUnit, OpTally};
 pub use config::{
     ArchMode, ConfigError, DeviceConfig, DeviceConfigBuilder, ErrorMode, ExecBackend,
+    MAX_FIFO_DEPTH,
 };
 pub use device::Device;
 pub use engine::{ExecEngine, ParallelEngine, Schedule, SequentialEngine};

@@ -1646,6 +1646,39 @@ mod tests {
                 Err(SnapshotError::Config(ConfigError::NonPositiveVdd { .. }))
             ));
         }
+        // A FIFO deeper than the bound would be allocated whole on
+        // restore, and a failed allocation aborts the process.
+        let deep = good.replacen("\"fifo_depth\":2", "\"fifo_depth\":1e15", 1);
+        assert_ne!(deep, good);
+        assert!(matches!(
+            DeviceSnapshot::from_json(&deep),
+            Err(SnapshotError::Config(ConfigError::FifoTooDeep { .. }))
+        ));
+        // Supplies and nominal voltages whose (vdd / nominal)^2 energy
+        // scale underflows to 0 or overflows to infinity.
+        for (from, to) in [
+            ("\"vdd\":0.9", "\"vdd\":1e-300"),
+            ("\"vdd\":0.9", "\"vdd\":1e300"),
+            ("\"nominal_vdd\":0.9", "\"nominal_vdd\":1e300"),
+        ] {
+            let doc = good.replacen(from, to, 1);
+            assert_ne!(doc, good);
+            assert!(matches!(
+                DeviceSnapshot::from_json(&doc),
+                Err(SnapshotError::Config(ConfigError::DynamicScaleOutOfRange { .. }))
+            ));
+        }
+        // A voltage-coupled jitter that can draw a supply at or below 0.
+        let jitter = good.replacen(
+            "\"error_model\":{\"kind\":\"uniform\"}",
+            "\"error_model\":{\"kind\":\"voltage-coupled\",\"sigma_vdd\":1.5}",
+            1,
+        );
+        assert_ne!(jitter, good);
+        assert!(matches!(
+            DeviceSnapshot::from_json(&jitter),
+            Err(SnapshotError::Config(ConfigError::VddJitterOutOfRange { .. }))
+        ));
     }
 
     #[test]

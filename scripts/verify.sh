@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline (the workspace is hermetic: no
-# external crates in the default build), plus lint gates.
+# external crates), plus lint gates.
 #
 #   scripts/verify.sh          # build + test + clippy
 #   scripts/verify.sh --quick  # skip clippy
@@ -12,6 +12,11 @@ cargo build --release --offline
 
 echo "== cargo test (offline, workspace) =="
 cargo test --workspace -q --offline
+
+echo "== benchmark self-test (benchmark/ builds on the public APIs) =="
+# benchmark/ is its own workspace, so the workspace pass above does not
+# build it: a manifest or API change that breaks it fails here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== backend determinism suite (sequential / parallel) =="
 cargo test -q --offline -p tm-kernels --test determinism
