@@ -915,10 +915,13 @@ fn wire_request(addr: &str, line: &str) -> std::io::Result<String> {
     use std::io::{BufRead, BufReader, Write};
     let stream = std::net::TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    // PROTOCOL.md "Framing": one write per message, `\n` included, on a
+    // TCP_NODELAY socket.
+    stream.set_nodelay(true)?;
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    (&stream).write_all(frame.as_bytes())?;
     let mut response = String::new();
     let n = BufReader::new(stream).read_line(&mut response)?;
     if n == 0 {

@@ -49,7 +49,8 @@ pub struct Span {
     pub args: Vec<(String, ArgValue)>,
 }
 
-/// Default maximum number of retained spans (overflow is counted, not kept).
+/// Default maximum number of retained spans. Past it a recorder keeps
+/// its newest spans; see [`Recorder::record`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// Collects spans and overhead counters for one tracing session.
@@ -69,8 +70,8 @@ impl Recorder {
         Self::with_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// Creates a recorder retaining at most `capacity` spans; further spans
-    /// are dropped and counted in [`Recorder::dropped`].
+    /// Creates a recorder retaining at most `capacity` spans, its newest
+    /// ones; older spans are evicted and counted in [`Recorder::dropped`].
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             origin: Instant::now(),
@@ -88,13 +89,20 @@ impl Recorder {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Stores a completed span (or counts it as dropped past capacity).
+    /// Stores a completed span. A full recorder first evicts its oldest
+    /// half in one block, so a long-lived recorder keeps its newest spans
+    /// in record order at an amortized O(1) cost per span.
     pub fn record(&mut self, span: Span) {
-        if self.spans.len() < self.capacity {
-            self.spans.push(span);
-        } else {
-            self.dropped += 1;
+        if self.spans.len() >= self.capacity {
+            let evict = self.capacity.div_ceil(2);
+            if evict == 0 {
+                self.dropped += 1;
+                return;
+            }
+            self.spans.drain(..evict);
+            self.dropped += evict as u64;
         }
+        self.spans.push(span);
     }
 
     /// Adds `by` to the named overhead counter.
@@ -115,7 +123,8 @@ impl Recorder {
         &self.spans
     }
 
-    /// Number of spans discarded because capacity was reached.
+    /// Number of recorded spans no longer kept, evicted to make room for
+    /// newer ones.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -190,7 +199,7 @@ impl SharedRecorder {
         self.lock().spans().len()
     }
 
-    /// Number of dropped (over-capacity) spans.
+    /// Number of recorded spans no longer kept ([`Recorder::dropped`]).
     pub fn dropped(&self) -> u64 {
         self.lock().dropped()
     }
@@ -248,6 +257,33 @@ mod tests {
         r.record(span("c", 2, 1));
         assert_eq!(r.spans().len(), 2);
         assert_eq!(r.dropped(), 1);
+    }
+
+    #[test]
+    fn overflow_keeps_the_newest_spans_in_record_order() {
+        let capacity = 10;
+        let mut r = Recorder::with_capacity(capacity);
+        let recorded = 1000u64;
+        for i in 0..recorded {
+            r.record(span(&format!("s{i}"), i * 10, 5));
+            assert!(r.spans().len() <= capacity);
+        }
+        let kept = r.spans();
+        assert!(!kept.is_empty());
+        assert_eq!(r.dropped(), recorded - kept.len() as u64);
+        // The survivors are the last `kept.len()` spans, oldest first.
+        let first = recorded - kept.len() as u64;
+        for (i, s) in kept.iter().enumerate() {
+            assert_eq!(s.ts, (first + i as u64) * 10, "span {i} of {kept:?}");
+        }
+        let stats = crate::chrome::validate_chrome_trace(&r.chrome_trace_json())
+            .expect("the retained spans export to a valid trace");
+        assert_eq!(stats.spans, kept.len());
+
+        let mut none = Recorder::with_capacity(0);
+        none.record(span("z", 0, 1));
+        assert!(none.spans().is_empty());
+        assert_eq!(none.dropped(), 1);
     }
 
     #[test]

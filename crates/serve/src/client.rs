@@ -87,6 +87,8 @@ impl Client {
         // Campaigns at paper scale take a while; reads stay blocking with
         // a generous timeout instead of polling.
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
+        // One frame per turn: coalescing small writes can only delay it.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self { reader: BufReader::new(stream), writer })
     }
@@ -101,9 +103,12 @@ impl Client {
     /// if the response does not parse, and [`ClientError::Server`] if the
     /// server answered with an `error` response.
     pub fn request(&mut self, line: &str) -> Result<JsonValue, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write per frame: a separate write of the `\n` waits on
+        // Nagle's algorithm for the server's delayed ACK.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

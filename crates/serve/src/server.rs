@@ -6,16 +6,20 @@
 //!
 //! - one **accept** thread polling a nonblocking listener;
 //! - one **connection** thread per client, reading NDJSON request lines
-//!   and writing response lines. Inline requests (`ping`, `stats`) are
-//!   answered immediately; jobs are submitted to the scheduler and the
-//!   thread blocks until its waiter channel yields the result, so each
-//!   connection has at most one job in flight (see `PROTOCOL.md`);
+//!   and writing each response line in one write on a `TCP_NODELAY`
+//!   socket. Inline requests (`ping`, `stats`) are answered immediately;
+//!   jobs are submitted to the scheduler and the thread blocks until its
+//!   waiter channel yields the result, so each connection has at most one
+//!   job in flight (see `PROTOCOL.md`). The accept thread joins finished
+//!   connection threads as it accepts new ones;
 //! - `workers` **worker** threads looping claim → execute → complete
 //!   over the shared [`Scheduler`], parked on a `Condvar` when idle.
 //!
 //! Every request increments `serve.*` [`TelemetryHub`] series and every
 //! executed job records a wall span into the server's
-//! [`SharedRecorder`], so a loaded server is traceable end to end.
+//! [`SharedRecorder`], so a loaded server is traceable end to end. The
+//! recorder keeps the newest [`SERVER_SPAN_CAPACITY`] spans, so its
+//! memory does not grow with the request rate.
 //!
 //! # Examples
 //!
@@ -51,6 +55,10 @@ use crate::scheduler::{JobOutcome, Scheduler, Submit};
 
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How many spans the server's recorder keeps: its newest ones, from
+/// job spans and the launch and wavefront spans of pooled devices.
+pub const SERVER_SPAN_CAPACITY: usize = 4096;
 
 /// Sizing knobs for [`JobServer::bind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +139,7 @@ impl JobServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let recorder = SharedRecorder::new();
+        let recorder = SharedRecorder::with_capacity(SERVER_SPAN_CAPACITY);
         let pid = recorder.alloc_pid();
         let shared = Arc::new(Shared {
             scheduler: Mutex::new(Scheduler::new(config.queue_limit)),
@@ -179,7 +187,8 @@ impl JobServer {
         self.shared.stats()
     }
 
-    /// The recorder collecting per-request wall spans; export it with
+    /// The recorder collecting per-request wall spans, holding the newest
+    /// [`SERVER_SPAN_CAPACITY`]; export it with
     /// [`tm_obs::SharedRecorder::chrome_trace_json`].
     #[must_use]
     pub fn recorder(&self) -> &SharedRecorder {
@@ -229,7 +238,13 @@ fn accept_loop(
                         let _ = serve_connection(stream, &shared);
                     });
                 if let Ok(handle) = handle {
-                    connections.lock().expect("connection registry lock").push(handle);
+                    let mut registry = connections.lock().expect("connection registry lock");
+                    // Join closed connections so their thread stacks do
+                    // not pile up until the server stops.
+                    for done in registry.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    registry.push(handle);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -243,6 +258,8 @@ fn accept_loop(
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    // One frame per turn: coalescing small writes can only delay it.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -261,10 +278,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
             Err(e) => return Err(e),
         }
         if !line.trim().is_empty() {
-            let response = handle_line(line.trim_end(), shared);
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            // One write per frame: a separate write of the `\n` waits on
+            // Nagle's algorithm for the peer's delayed ACK.
+            let mut frame = handle_line(line.trim_end(), shared);
+            frame.push('\n');
+            writer.write_all(frame.as_bytes())?;
         }
         line.clear();
     }
@@ -410,5 +428,24 @@ fn worker_loop(shared: &Arc<Shared>, worker: u64) {
         for (waiter, outcome) in waiters {
             let _ = waiter.tx.send(outcome);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn closed_connections_are_joined_as_new_ones_arrive() {
+        let server =
+            JobServer::bind("127.0.0.1:0", ServerConfig::default(), TelemetryHub::new()).unwrap();
+        let addr = server.addr().to_string();
+        for _ in 0..50 {
+            Client::connect(&addr).unwrap().ping().unwrap();
+        }
+        let held = server.connections.lock().unwrap().len();
+        assert!(held <= 2, "the registry holds {held} connection threads after 50 closed ones");
+        server.stop();
     }
 }

@@ -1,10 +1,13 @@
-//! End-to-end wire tests: coalescing, backpressure and byte identity
-//! over real sockets against a running [`JobServer`].
+//! End-to-end wire tests: coalescing, backpressure, latency and byte
+//! identity over real sockets against a running [`JobServer`].
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use tm_bench::{run_campaign, CampaignSpec};
 use tm_obs::TelemetryHub;
+use tm_serve::server::SERVER_SPAN_CAPACITY;
 use tm_serve::{Client, ClientError, JobServer, ServerConfig};
 
 fn server(config: ServerConfig) -> (JobServer, TelemetryHub) {
@@ -31,6 +34,61 @@ fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
 /// Waits until the slow campaign holds the worker.
 fn wait_for_slow_job(hub: &TelemetryHub) {
     wait_until("the slow campaign runs", || hub.counter("campaign.trials_done") > 0);
+}
+
+/// Connects a raw socket whose reads fail after five seconds, so a
+/// request the server never answers fails the test instead of hanging it.
+fn raw_connect(server: &JobServer) -> TcpStream {
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    stream
+}
+
+/// Sends `line` and its `\n` in one write and parses the reply line.
+fn raw_exchange(stream: &TcpStream, line: &str) -> tm_obs::JsonValue {
+    let mut writer = stream;
+    writer.write_all(format!("{line}\n").as_bytes()).expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).expect("a reply within the read timeout");
+    tm_obs::JsonValue::parse(reply.trim_end()).expect("the reply parses")
+}
+
+/// The median wall time, in ms, of 20 calls to `round_trip`.
+fn median_ms(mut round_trip: impl FnMut()) -> f64 {
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            round_trip();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// A delayed ACK holds a frame's second write for ~40 ms; a request
+/// and its response each written whole take well under a millisecond.
+const PING_MEDIAN_BOUND_MS: f64 = 20.0;
+
+#[test]
+fn client_pings_on_one_connection_are_not_held_by_delayed_acks() {
+    let (server, _hub) = server(ServerConfig::default());
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let median = median_ms(|| client.ping().expect("pong"));
+    assert!(median < PING_MEDIAN_BOUND_MS, "median ping through Client took {median:.2} ms");
+    server.stop();
+}
+
+#[test]
+fn server_answers_single_write_pings_without_a_delayed_ack() {
+    let (server, _hub) = server(ServerConfig::default());
+    let stream = raw_connect(&server);
+    let median = median_ms(|| {
+        let v = raw_exchange(&stream, r#"{"v":1,"type":"ping","id":"p"}"#);
+        assert_eq!(v.get_str("type"), Some("pong"));
+    });
+    assert!(median < PING_MEDIAN_BOUND_MS, "median raw ping took {median:.2} ms");
+    server.stop();
 }
 
 #[test]
@@ -88,8 +146,62 @@ fn restoring_a_too_deep_fifo_is_a_bad_request() {
 }
 
 #[test]
+fn the_server_recorder_keeps_at_most_its_capacity_of_newest_spans() {
+    let (server, _hub) = server(ServerConfig::default());
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let rec = server.recorder();
+    // Each launch records its job span and its device's launch and
+    // wavefront spans; run launches until the recorder has wrapped.
+    for launches in 1.. {
+        client
+            .request(r#"{"v":1,"type":"launch","id":"l","kernel":"haar","scale":"test"}"#)
+            .expect("launch");
+        assert!(rec.span_count() <= SERVER_SPAN_CAPACITY, "after {launches} launches");
+        if rec.dropped() > 0 {
+            break;
+        }
+    }
+    // The newest span is the last launch's job span.
+    let last = rec.with(|r| r.spans().last().cloned()).expect("a retained span");
+    assert_eq!(last.name, "serve:launch");
+    server.stop();
+}
+
+#[test]
+fn restoring_corner_fractions_summing_above_one_is_a_bad_request() {
+    let (server, _hub) = server(ServerConfig::default());
+    let stream = raw_connect(&server);
+    let result = raw_exchange(
+        &stream,
+        r#"{"v":1,"type":"snapshot","id":"s","kernel":"sobel","scale":"test"}"#,
+    );
+    let doc = result.get_str("snapshot").expect("snapshot document");
+    // Each fraction is a probability, but their sum is 1.05: the
+    // heterogeneous sampler would panic in the worker that restores it.
+    let corners = doc.replacen(
+        "\"error_model\":{\"kind\":\"uniform\"}",
+        "\"error_model\":{\"kind\":\"heterogeneous\",\"slow_fraction\":0.8,\
+         \"slow_factor\":4,\"fast_fraction\":0.25,\"fast_factor\":0.25}",
+        1,
+    );
+    assert_ne!(corners, doc);
+    let mut request = tm_obs::ObjWriter::new();
+    request.u64_field("v", 1);
+    request.str_field("type", "restore");
+    request.str_field("id", "r");
+    request.str_field("snapshot", &corners);
+    let reply = raw_exchange(&stream, &request.finish());
+    assert_eq!(reply.get_str("type"), Some("error"), "reply: {reply:?}");
+    assert_eq!(reply.get_str("code"), Some("bad_request"));
+    let message = reply.get_str("message").unwrap_or_default();
+    assert!(message.contains("corner fractions"), "message: {message}");
+    let pong = raw_exchange(&stream, r#"{"v":1,"type":"ping","id":"p"}"#);
+    assert_eq!(pong.get_str("type"), Some("pong"), "the server still answers");
+    server.stop();
+}
+
+#[test]
 fn a_request_that_pauses_mid_line_is_answered_whole() {
-    use std::io::{BufRead, BufReader, Write};
     let (server, _hub) = server(ServerConfig::default());
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     stream.write_all(br#"{"v":1,"type":"ping","#).expect("send first half");

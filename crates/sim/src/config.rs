@@ -3,7 +3,7 @@
 use std::fmt;
 use tm_core::{GatePolicy, MatchPolicy, Replacement, DEFAULT_FIFO_DEPTH};
 use tm_energy::EnergyModel;
-use tm_timing::{ErrorModelSpec, RecoveryPolicy, VoltageModel, NOMINAL_VDD};
+use tm_timing::{ErrorModelError, ErrorModelSpec, RecoveryPolicy, VoltageModel, NOMINAL_VDD};
 
 /// Which architecture variant the device models.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -131,6 +131,10 @@ pub enum ConfigError {
         /// The configured supply voltage.
         vdd: f64,
     },
+    /// The heterogeneous or burst error model's parameters are out of
+    /// range (see [`tm_timing::HeterogeneousErrors::check`] and
+    /// [`tm_timing::BurstErrors::check`]); its sampler would panic.
+    ErrorModelOutOfRange(ErrorModelError),
     /// The FPU's dynamic-energy scale `(vdd / nominal_vdd)²` (see
     /// [`DeviceConfig::dynamic_scale`]) is not positive and finite: the
     /// supply or the voltage model's nominal voltage is so extreme that
@@ -165,6 +169,7 @@ impl fmt::Display for ConfigError {
                 f,
                 "vdd jitter {sigma_vdd} must be non-negative and below vdd {vdd}"
             ),
+            Self::ErrorModelOutOfRange(e) => write!(f, "error model: {e}"),
             Self::DynamicScaleOutOfRange { scale } => write!(
                 f,
                 "dynamic-energy scale (vdd / nominal_vdd)^2 must be positive and finite, got {scale}"
@@ -373,6 +378,14 @@ impl DeviceConfig {
         if !(0.0..=1.0).contains(&rate) {
             return Err(ConfigError::ErrorRateOutOfRange { rate });
         }
+        // The heterogeneous and burst samplers panic on parameters their
+        // checks reject, and every stream core builds one.
+        let model = match self.error_model {
+            ErrorModelSpec::Heterogeneous(h) => h.check(),
+            ErrorModelSpec::Burst(b) => b.check(),
+            ErrorModelSpec::Uniform | ErrorModelSpec::VoltageCoupled { .. } => Ok(()),
+        };
+        model.map_err(ConfigError::ErrorModelOutOfRange)?;
         // The voltage-coupled model draws each stream core's supply from
         // vdd ± sigma_vdd, and the voltage model panics at or below 0 V.
         if let ErrorModelSpec::VoltageCoupled { sigma_vdd } = self.error_model {
@@ -567,7 +580,7 @@ impl DeviceConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_timing::HeterogeneousErrors;
+    use tm_timing::{BurstErrors, HeterogeneousErrors};
 
     #[test]
     fn default_matches_paper_design_point() {
@@ -722,6 +735,61 @@ mod tests {
                 Err(ConfigError::VddJitterOutOfRange { sigma_vdd, vdd: 0.9 })
             );
         }
+        // The heterogeneous and burst samplers panic on these; the device
+        // builds one per stream core.
+        let corners = HeterogeneousErrors::quartile_corners();
+        for (h, err) in [
+            (
+                HeterogeneousErrors { slow_fraction: 0.8, ..corners },
+                ErrorModelError::CornerFractions { slow_fraction: 0.8, fast_fraction: 0.25 },
+            ),
+            (
+                HeterogeneousErrors { fast_fraction: -0.1, ..corners },
+                ErrorModelError::CornerFractions { slow_fraction: 0.25, fast_fraction: -0.1 },
+            ),
+            (
+                HeterogeneousErrors { slow_fraction: 1.5, fast_fraction: 0.0, ..corners },
+                ErrorModelError::CornerFractions { slow_fraction: 1.5, fast_fraction: 0.0 },
+            ),
+            (
+                HeterogeneousErrors { fast_factor: -1.0, ..corners },
+                ErrorModelError::NegativeCornerFactor { slow_factor: 4.0, fast_factor: -1.0 },
+            ),
+        ] {
+            assert_eq!(
+                DeviceConfig::builder().with_error_model(ErrorModelSpec::Heterogeneous(h)).build(),
+                Err(ConfigError::ErrorModelOutOfRange(err))
+            );
+        }
+        let droop = BurstErrors::droop();
+        for (b, err) in [
+            (
+                BurstErrors { enter: 2.0, ..droop },
+                ErrorModelError::BurstTransition { enter: 2.0, exit: 0.05 },
+            ),
+            (
+                BurstErrors { exit: -0.5, ..droop },
+                ErrorModelError::BurstTransition { enter: 0.005, exit: -0.5 },
+            ),
+            (
+                BurstErrors { burst_factor: -8.0, ..droop },
+                ErrorModelError::NegativeBurstFactor { burst_factor: -8.0 },
+            ),
+        ] {
+            assert_eq!(
+                DeviceConfig::builder().with_error_model(ErrorModelSpec::Burst(b)).build(),
+                Err(ConfigError::ErrorModelOutOfRange(err))
+            );
+        }
+        assert!(matches!(
+            DeviceConfig::builder()
+                .with_error_model(ErrorModelSpec::Heterogeneous(HeterogeneousErrors {
+                    slow_fraction: f64::NAN,
+                    ..corners
+                }))
+                .build(),
+            Err(ConfigError::ErrorModelOutOfRange(ErrorModelError::CornerFractions { .. }))
+        ));
         let huge_nominal = DeviceConfig {
             voltage_model: VoltageModel::new(1e300, 0.85, 2.4e-4, 142.7, 0.30),
             ..DeviceConfig::default()

@@ -1679,6 +1679,19 @@ mod tests {
             DeviceSnapshot::from_json(&jitter),
             Err(SnapshotError::Config(ConfigError::VddJitterOutOfRange { .. }))
         ));
+        // Corner fractions that are each a probability but sum above 1:
+        // the heterogeneous sampler would panic on restore.
+        let corners = good.replacen(
+            "\"error_model\":{\"kind\":\"uniform\"}",
+            "\"error_model\":{\"kind\":\"heterogeneous\",\"slow_fraction\":0.8,\
+             \"slow_factor\":4,\"fast_fraction\":0.25,\"fast_factor\":0.25}",
+            1,
+        );
+        assert_ne!(corners, good);
+        assert!(matches!(
+            DeviceSnapshot::from_json(&corners),
+            Err(SnapshotError::Config(_))
+        ));
     }
 
     #[test]

@@ -69,7 +69,12 @@ fn base_documents() -> Vec<String> {
         small()
             .with_policy(MatchPolicy::MaskBits(fraction_mask(12)))
             .with_error_mode(ErrorMode::FixedRate(0.05))
-            .with_error_model(ErrorModelSpec::Heterogeneous(HeterogeneousErrors::quartile_corners()))
+            // Corner fractions summing to 1, so one edit can push the
+            // sum past it (`fast_fraction` = 0.5).
+            .with_error_model(ErrorModelSpec::Heterogeneous(HeterogeneousErrors {
+                slow_fraction: 0.75,
+                ..HeterogeneousErrors::quartile_corners()
+            }))
             .with_recovery(RecoveryPolicy::default()),
         small()
             .with_policy(MatchPolicy::threshold(0.25))

@@ -324,6 +324,62 @@ impl ErrorModel for UniformErrors {
     }
 }
 
+/// Why [`HeterogeneousErrors::check`] or [`BurstErrors::check`] rejected
+/// a model's parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ErrorModelError {
+    /// The corner fractions are not probabilities summing to at most 1.
+    CornerFractions {
+        /// [`HeterogeneousErrors::slow_fraction`].
+        slow_fraction: f64,
+        /// [`HeterogeneousErrors::fast_fraction`].
+        fast_fraction: f64,
+    },
+    /// A corner's error-rate factor is negative (or NaN).
+    NegativeCornerFactor {
+        /// [`HeterogeneousErrors::slow_factor`].
+        slow_factor: f64,
+        /// [`HeterogeneousErrors::fast_factor`].
+        fast_factor: f64,
+    },
+    /// A burst transition probability is outside `[0, 1]`.
+    BurstTransition {
+        /// [`BurstErrors::enter`].
+        enter: f64,
+        /// [`BurstErrors::exit`].
+        exit: f64,
+    },
+    /// The burst factor is negative (or NaN).
+    NegativeBurstFactor {
+        /// [`BurstErrors::burst_factor`].
+        burst_factor: f64,
+    },
+}
+
+impl fmt::Display for ErrorModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::CornerFractions { slow_fraction, fast_fraction } => write!(
+                f,
+                "corner fractions must be probabilities summing to <= 1, got slow {slow_fraction} and fast {fast_fraction}"
+            ),
+            Self::NegativeCornerFactor { slow_factor, fast_factor } => write!(
+                f,
+                "corner factors must be non-negative, got slow {slow_factor} and fast {fast_factor}"
+            ),
+            Self::BurstTransition { enter, exit } => write!(
+                f,
+                "burst transition probabilities must be in [0, 1], got enter {enter} and exit {exit}"
+            ),
+            Self::NegativeBurstFactor { burst_factor } => {
+                write!(f, "burst factor must be non-negative, got {burst_factor}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ErrorModelError {}
+
 /// Per-stream-core process corners: each (cu, sc) position is assigned
 /// fast, typical or slow silicon by a seeded PCG32 stream, scaling its
 /// error rate by the corner's factor.
@@ -352,23 +408,40 @@ impl HeterogeneousErrors {
         }
     }
 
+    /// Checks that the fractions are probabilities summing to ≤ 1 and
+    /// that no factor is negative.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, as an [`ErrorModelError`].
+    pub fn check(&self) -> Result<(), ErrorModelError> {
+        if !((0.0..=1.0).contains(&self.slow_fraction)
+            && (0.0..=1.0).contains(&self.fast_fraction)
+            && self.slow_fraction + self.fast_fraction <= 1.0)
+        {
+            return Err(ErrorModelError::CornerFractions {
+                slow_fraction: self.slow_fraction,
+                fast_fraction: self.fast_fraction,
+            });
+        }
+        if !(self.slow_factor >= 0.0 && self.fast_factor >= 0.0) {
+            return Err(ErrorModelError::NegativeCornerFactor {
+                slow_factor: self.slow_factor,
+                fast_factor: self.fast_factor,
+            });
+        }
+        Ok(())
+    }
+
     /// Validates fractions and factors.
     ///
     /// # Panics
     ///
-    /// Panics if the fractions are not probabilities summing to ≤ 1 or
-    /// a factor is negative.
+    /// Panics with the [`HeterogeneousErrors::check`] error.
     pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.slow_fraction)
-                && (0.0..=1.0).contains(&self.fast_fraction)
-                && self.slow_fraction + self.fast_fraction <= 1.0,
-            "corner fractions must be probabilities summing to <= 1"
-        );
-        assert!(
-            self.slow_factor >= 0.0 && self.fast_factor >= 0.0,
-            "corner factors must be non-negative"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 
     /// The corner assigned to `(cu, sc, seed)` — drawn from a dedicated
@@ -481,18 +554,31 @@ impl BurstErrors {
         }
     }
 
+    /// Checks that `enter` and `exit` are probabilities and that the
+    /// factor is not negative.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, as an [`ErrorModelError`].
+    pub fn check(&self) -> Result<(), ErrorModelError> {
+        if !((0.0..=1.0).contains(&self.enter) && (0.0..=1.0).contains(&self.exit)) {
+            return Err(ErrorModelError::BurstTransition { enter: self.enter, exit: self.exit });
+        }
+        if !(0.0..).contains(&self.burst_factor) {
+            return Err(ErrorModelError::NegativeBurstFactor { burst_factor: self.burst_factor });
+        }
+        Ok(())
+    }
+
     /// Validates the transition probabilities and factor.
     ///
     /// # Panics
     ///
-    /// Panics if `enter`/`exit` are not probabilities or the factor is
-    /// negative.
+    /// Panics with the [`BurstErrors::check`] error.
     pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.enter) && (0.0..=1.0).contains(&self.exit),
-            "burst transition probabilities must be in [0, 1]"
-        );
-        assert!(self.burst_factor >= 0.0, "burst factor must be non-negative");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

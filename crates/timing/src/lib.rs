@@ -51,8 +51,8 @@ mod voltage;
 pub use ecu::{Ecu, RecoveryPolicy};
 pub use eds::EdsChain;
 pub use error_model::{
-    BurstErrors, Corner, ErrorModel, ErrorModelSpec, ErrorRate, ErrorSampler, ErrorSamplerState,
-    HeterogeneousErrors, UniformErrors, VoltageCoupledErrors,
+    BurstErrors, Corner, ErrorModel, ErrorModelError, ErrorModelSpec, ErrorRate, ErrorSampler,
+    ErrorSamplerState, HeterogeneousErrors, UniformErrors, VoltageCoupledErrors,
 };
 pub use injector::ErrorInjector;
 pub use voltage::{VoltageModel, MEMO_MODULE_SLACK, NOMINAL_VDD};

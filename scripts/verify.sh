@@ -164,6 +164,11 @@ kill "$serve_pid" 2>/dev/null || true
 serve_pid=""
 # PROTOCOL.md example payloads must parse with the production parser.
 cargo test -q --offline -p tm-serve --test protocol_docs
+# The end-to-end serve tests again in release, the profile tm-served
+# ships in: the ping-latency bounds and the quota and coalescing tests
+# depend on timing, and release jobs run many times faster than the
+# debug workspace pass's.
+cargo test --release -q --offline -p tm-serve --test serve_e2e
 
 if [[ "${1:-}" != "--quick" ]]; then
     echo "== cargo clippy -D warnings -D clippy::perf (offline, workspace) =="
