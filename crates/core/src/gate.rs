@@ -61,6 +61,29 @@ impl GatePolicy {
             consecutive_windows: 2,
         }
     }
+
+    /// Checks the policy's ranges without panicking.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule the policy breaks: `window` and
+    /// `gate_period` must be positive, `min_hit_rate` a probability and
+    /// `consecutive_windows` at least 1.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.window == 0 {
+            return Err("window must be positive");
+        }
+        if self.gate_period == 0 {
+            return Err("gate period must be positive");
+        }
+        if !(0.0..=1.0).contains(&self.min_hit_rate) {
+            return Err("min hit rate must be a probability");
+        }
+        if self.consecutive_windows == 0 {
+            return Err("need at least one window to trip");
+        }
+        Ok(())
+    }
 }
 
 impl Default for GatePolicy {
@@ -103,20 +126,12 @@ impl AdaptiveGate {
     ///
     /// # Panics
     ///
-    /// Panics if `window` or `gate_period` is zero, or `min_hit_rate` is
-    /// not a probability.
+    /// Panics if the policy fails [`GatePolicy::check`].
     #[must_use]
     pub fn new(policy: GatePolicy) -> Self {
-        assert!(policy.window > 0, "window must be positive");
-        assert!(policy.gate_period > 0, "gate period must be positive");
-        assert!(
-            (0.0..=1.0).contains(&policy.min_hit_rate),
-            "min hit rate must be a probability"
-        );
-        assert!(
-            policy.consecutive_windows > 0,
-            "need at least one window to trip"
-        );
+        if let Err(e) = policy.check() {
+            panic!("{e}");
+        }
         Self {
             policy,
             window_accesses: 0,

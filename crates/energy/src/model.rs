@@ -65,6 +65,26 @@ impl EnergyModel {
         }
     }
 
+    /// Checks that every constant is finite and non-negative: the energy
+    /// ledger panics on any other charge.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first constant that is negative or not finite.
+    pub fn check(&self) -> Result<(), &'static str> {
+        [
+            ("epi_add_pj", self.epi_add_pj),
+            ("lut_lookup_frac", self.lut_lookup_frac),
+            ("lut_update_frac", self.lut_update_frac),
+            ("gated_stage_residual", self.gated_stage_residual),
+            ("recovery_cycle_frac", self.recovery_cycle_frac),
+            ("spatial_broadcast_frac", self.spatial_broadcast_frac),
+        ]
+        .into_iter()
+        .find(|&(_, v)| !(v.is_finite() && v >= 0.0))
+        .map_or(Ok(()), |(name, _)| Err(name))
+    }
+
     /// Energy of one spatial (cross-lane) reuse: the receiving lane's
     /// stage-1 + clock-gated residual, plus the broadcast network charge.
     #[must_use]

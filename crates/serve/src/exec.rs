@@ -69,7 +69,7 @@ pub fn execute(
         Request::Launch(spec) => run_launch(spec, pool, rec),
         Request::Campaign(job) => Ok(run_campaign_job(job, hub, rec)),
         Request::Snapshot(spec) => run_snapshot(spec),
-        Request::Restore(job) => Ok(run_restore(job, pool)),
+        Request::Restore(job) => run_restore(job, pool),
         Request::Ping | Request::Stats => Err(WireError {
             code: crate::protocol::ErrorCode::Internal,
             message: "inline request reached the worker pool".to_string(),
@@ -99,16 +99,19 @@ fn run_snapshot(spec: &LaunchSpec) -> Result<ResultPayload, WireError> {
 
 /// Revives the snapshot into a device and releases it into the pool,
 /// where the next launch with a matching config acquires it warm.
-fn run_restore(job: &RestoreJob, pool: &Mutex<DevicePool>) -> ResultPayload {
-    let compute_units = job.snapshot.config().compute_units as u64;
-    let fifo_entries = job.snapshot.fifo_entries();
-    // parse_restore round-trips the document, so restore cannot fail on
-    // anything that reached the worker; a defect here is a defect in the
-    // schema validation, and releasing nothing is the safe fallback.
-    if let Ok(device) = Device::restore(&job.snapshot) {
-        pool.lock().expect("device pool lock").release(device);
-    }
-    ResultPayload::Restored { compute_units, fifo_entries }
+fn run_restore(job: &RestoreJob, pool: &Mutex<DevicePool>) -> Result<ResultPayload, WireError> {
+    // `parse_restore` decoded the document with `DeviceSnapshot::from_json`,
+    // which checks every rule `Device::restore` relies on; a failure here
+    // is a defect in those checks, reported instead of a false release.
+    let device = Device::restore(&job.snapshot).map_err(|e| WireError {
+        code: crate::protocol::ErrorCode::Internal,
+        message: format!("restore failed: {e}"),
+    })?;
+    pool.lock().expect("device pool lock").release(device);
+    Ok(ResultPayload::Restored {
+        compute_units: job.snapshot.config().compute_units as u64,
+        fifo_entries: job.snapshot.fifo_entries(),
+    })
 }
 
 fn run_launch(

@@ -146,6 +146,41 @@ fn restoring_a_too_deep_fifo_is_a_bad_request() {
 }
 
 #[test]
+fn restoring_state_the_config_cannot_hold_is_a_bad_request() {
+    let (server, _hub) = server(ServerConfig::default());
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let result = client
+        .request(r#"{"v":1,"type":"snapshot","id":"s","kernel":"sobel","scale":"test"}"#)
+        .expect("snapshot");
+    let doc = result.get_str("snapshot").expect("snapshot document");
+    // A negative energy, a missing injector, and a metrics window with no
+    // captured metrics: each document parses, but no device can hold it,
+    // so the server must not answer that it released one.
+    let value = doc.find("\"hit_pj\":").unwrap() + "\"hit_pj\":".len();
+    let end = value + doc[value..].find(',').unwrap();
+    let first = doc.find("\"injectors\":[").unwrap() + "\"injectors\":[".len();
+    let next = first + doc[first..].find("},").unwrap() + "},".len();
+    for edited in [
+        format!("{}-1.5{}", &doc[..value], &doc[end..]),
+        format!("{}{}", &doc[..first], &doc[next..]),
+        doc.replacen("\"metrics_window\":null", "\"metrics_window\":64", 1),
+    ] {
+        assert_ne!(edited, doc);
+        let mut request = tm_obs::ObjWriter::new();
+        request.u64_field("v", 1);
+        request.str_field("type", "restore");
+        request.str_field("id", "r");
+        request.str_field("snapshot", &edited);
+        let err = client.request(&request.finish()).unwrap_err();
+        let ClientError::Server { code, message } = err else { panic!("expected server error") };
+        assert_eq!(code, "bad_request", "message: {message}");
+        assert!(message.contains("$.compute_units[0]"), "message: {message}");
+        client.ping().expect("the server still answers");
+    }
+    server.stop();
+}
+
+#[test]
 fn the_server_recorder_keeps_at_most_its_capacity_of_newest_spans() {
     let (server, _hub) = server(ServerConfig::default());
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");

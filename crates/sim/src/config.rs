@@ -145,6 +145,21 @@ pub enum ConfigError {
     },
     /// `metrics_window == Some(0)`.
     ZeroMetricsWindow,
+    /// The [`MatchPolicy::Threshold`] bound is negative or not finite.
+    ThresholdOutOfRange {
+        /// The offending threshold.
+        threshold: f32,
+    },
+    /// The adaptive gate's policy fails [`GatePolicy::check`] (the
+    /// message names the rule); every lane unit's gate would panic.
+    GatePolicyOutOfRange(&'static str),
+    /// An [`EnergyModel`] constant is negative or not finite (see
+    /// [`EnergyModel::check`]); the energy ledger would panic on the
+    /// first charge.
+    EnergyModelOutOfRange {
+        /// The offending constant's name.
+        constant: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -175,6 +190,13 @@ impl fmt::Display for ConfigError {
                 "dynamic-energy scale (vdd / nominal_vdd)^2 must be positive and finite, got {scale}"
             ),
             Self::ZeroMetricsWindow => write!(f, "metrics window width must be non-zero"),
+            Self::ThresholdOutOfRange { threshold } => {
+                write!(f, "matching threshold must be finite and non-negative, got {threshold}")
+            }
+            Self::GatePolicyOutOfRange(rule) => write!(f, "adaptive gate: {rule}"),
+            Self::EnergyModelOutOfRange { constant } => {
+                write!(f, "energy-model constant {constant} must be finite and non-negative")
+            }
         }
     }
 }
@@ -405,7 +427,16 @@ impl DeviceConfig {
         if self.metrics_window == Some(0) {
             return Err(ConfigError::ZeroMetricsWindow);
         }
-        Ok(())
+        if let MatchPolicy::Threshold(threshold) = self.policy {
+            if !(threshold.is_finite() && threshold >= 0.0) {
+                return Err(ConfigError::ThresholdOutOfRange { threshold });
+            }
+        }
+        let gate = self.adaptive_gate.map_or(Ok(()), |gate| gate.check());
+        gate.map_err(ConfigError::GatePolicyOutOfRange)?;
+        self.energy_model
+            .check()
+            .map_err(|constant| ConfigError::EnergyModelOutOfRange { constant })
     }
 
     /// Validates internal consistency.
@@ -421,6 +452,13 @@ impl DeviceConfig {
         if let Err(e) = self.check() {
             panic!("{e}");
         }
+    }
+
+    /// The policy every lane unit's adaptive gate runs: the configured
+    /// one on the memoized architecture, none on the others, which have
+    /// no memoization modules to gate.
+    pub(crate) fn lane_gate(&self) -> Option<GatePolicy> {
+        self.adaptive_gate.filter(|_| self.arch == ArchMode::Memoized)
     }
 
     /// Sub-wavefront slots per vector instruction
@@ -802,6 +840,41 @@ mod tests {
             DeviceConfig::builder().with_metrics_window(0).build(),
             Err(ConfigError::ZeroMetricsWindow)
         );
+        // A device with any of these builds; its snapshot does not
+        // decode.
+        for threshold in [-1.0, f32::NAN, f32::INFINITY] {
+            assert!(matches!(
+                DeviceConfig::builder().with_policy(MatchPolicy::Threshold(threshold)).build(),
+                Err(ConfigError::ThresholdOutOfRange { .. })
+            ));
+        }
+        // Every lane unit's gate would panic on these.
+        let gate = GatePolicy::break_even();
+        for (policy, rule) in [
+            (GatePolicy { window: 0, ..gate }, "window must be positive"),
+            (GatePolicy { gate_period: 0, ..gate }, "gate period must be positive"),
+            (GatePolicy { consecutive_windows: 0, ..gate }, "need at least one window to trip"),
+            (GatePolicy { min_hit_rate: 2.0, ..gate }, "min hit rate must be a probability"),
+            (GatePolicy { min_hit_rate: f64::NAN, ..gate }, "min hit rate must be a probability"),
+        ] {
+            assert_eq!(
+                DeviceConfig::builder().with_adaptive_gate(policy).build(),
+                Err(ConfigError::GatePolicyOutOfRange(rule))
+            );
+        }
+        // The energy ledger would panic on the first charge.
+        let energy = EnergyModel::tsmc45();
+        for (model, constant) in [
+            (EnergyModel { epi_add_pj: -1.0, ..energy }, "epi_add_pj"),
+            (EnergyModel { epi_add_pj: f64::INFINITY, ..energy }, "epi_add_pj"),
+            (EnergyModel { lut_lookup_frac: f64::NAN, ..energy }, "lut_lookup_frac"),
+        ] {
+            let config = DeviceConfig { energy_model: model, ..DeviceConfig::default() };
+            assert_eq!(
+                config.rebuild().build(),
+                Err(ConfigError::EnergyModelOutOfRange { constant })
+            );
+        }
     }
 
     #[test]

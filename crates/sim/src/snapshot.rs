@@ -25,16 +25,28 @@
 //! The format is versioned ([`SNAPSHOT_VERSION`]); decoding rejects
 //! unknown versions and malformed documents with a structured
 //! [`SnapshotError`] — never a panic.
+//!
+//! One walk per schema type lists that type's fields, in document
+//! order, and drives both the encoder and the decoder, so each field is
+//! named once. Each rule is checked once: rules on a config value by
+//! [`DeviceConfig::check`], rules on captured state while
+//! [`DeviceSnapshot::from_json`] decodes it. [`Device::restore`] only
+//! applies state that has passed both.
 
 use crate::compute_unit::ComputeUnit;
 use crate::config::{ArchMode, ConfigError, DeviceConfig, ErrorMode, ExecBackend};
 use crate::device::Device;
 use crate::sink::{MetricsSink, OpTally, METRICS_CHANNELS};
-use std::fmt;
-use tm_core::{GatePolicy, GateState, MatchPolicy, MemoStats, Reg, Replacement};
-use tm_energy::{EnergyBreakdown, EnergyModel};
+use crate::stream_core::{LaneUnit, StreamCore};
+use std::fmt::{self, Write as _};
+use std::mem::discriminant;
+use tm_core::{
+    GatePolicy, GateState, MatchPolicy, MemoEntry, MemoModule, MemoStats, Reg, Replacement,
+};
+use tm_energy::EnergyBreakdown;
 use tm_fpu::{FpOp, FpuCounters, Operands, ALL_OPS, MAX_ARITY};
-use tm_obs::json::{f64_array, str_array, JsonError, JsonValue, ObjWriter};
+use tm_obs::json::{escape_into, write_f64, JsonError, JsonValue};
+use tm_obs::WindowedSeries;
 use tm_timing::{
     BurstErrors, ErrorModelSpec, ErrorSamplerState, HeterogeneousErrors, RecoveryPolicy,
     VoltageModel,
@@ -46,6 +58,11 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// The `kind` discriminator of a snapshot document.
 const SNAPSHOT_KIND: &str = "tm-device-snapshot";
+
+/// The largest integer a JSON number may carry: every JSON reader
+/// holds integers up to 2^53 exactly. Counters beyond it would be
+/// rounded, and sums of them could overflow.
+const MAX_JSON_INT: u64 = 1 << 53;
 
 /// Why a snapshot could not be captured, decoded or restored.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,30 +121,55 @@ impl From<ConfigError> for SnapshotError {
     }
 }
 
-fn schema(path: &str, msg: impl fmt::Display) -> SnapshotError {
-    SnapshotError::Schema(format!("{path}: {msg}"))
+fn unsupported_locality() -> SnapshotError {
+    SnapshotError::Unsupported("locality_tracking devices cannot be snapshotted (v1)".into())
 }
 
 /// One captured windowed series (total or per-op).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SeriesState {
     initial_width: u64,
     width: u64,
     windows: Vec<[f64; METRICS_CHANNELS]>,
 }
 
+impl SeriesState {
+    /// The series these parts describe, or `None` if they break
+    /// [`WindowedSeries::from_parts`]'s invariants.
+    fn rebuild(&self) -> Option<WindowedSeries<METRICS_CHANNELS>> {
+        WindowedSeries::from_parts(
+            self.initial_width,
+            self.width,
+            MetricsSink::MAX_WINDOWS,
+            self.windows.clone(),
+        )
+    }
+}
+
 /// Captured [`MetricsSink`] contents.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct MetricsState {
     total: SeriesState,
     per_op: Vec<(FpOp, SeriesState)>,
 }
 
 /// One memo-FIFO entry (IEEE-754 bit patterns, arity-length operands).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct EntryState {
     operand_bits: Vec<u32>,
     result_bits: u32,
+}
+
+impl EntryState {
+    /// Appends this entry to `memo`'s FIFO as its newest.
+    fn preload_into(&self, memo: &mut MemoModule) {
+        let mut operands = [0.0; MAX_ARITY];
+        for (o, &bits) in operands.iter_mut().zip(&self.operand_bits) {
+            *o = f32::from_bits(bits);
+        }
+        let operands = Operands::from_slice(&operands[..self.operand_bits.len()]);
+        memo.preload(operands, f32::from_bits(self.result_bits));
+    }
 }
 
 /// One lane unit (per-SC, per-op FPU + memo module).
@@ -150,7 +192,7 @@ struct UnitState {
 }
 
 /// One compute unit's captured state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct CuState {
     cycles: u64,
     ecu_recoveries: u64,
@@ -203,61 +245,34 @@ impl DeviceSnapshot {
     /// Serializes the snapshot as a single JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut w = ObjWriter::new();
-        w.str_field("kind", SNAPSHOT_KIND);
-        w.u64_field("version", SNAPSHOT_VERSION);
-        w.raw_field("config", &config_to_json(&self.config));
-        w.u64_field("wavefronts_dispatched", self.wavefronts_dispatched);
-        let cus: Vec<String> = self.cus.iter().map(cu_to_json).collect();
-        w.raw_field("compute_units", &format!("[{}]", cus.join(",")));
-        w.finish()
+        let mut encoder = Encoder::default();
+        // The walk writes back what it reads, so it runs on a copy.
+        encoder
+            .obj(ITEM, &mut self.clone(), walk_snapshot)
+            .expect("the encoder checks no rule, so it cannot fail");
+        encoder.out
     }
 
     /// Parses and validates a snapshot document.
     ///
+    /// Every document this accepts restores with [`Device::restore`].
+    ///
     /// # Errors
     ///
     /// Returns a structured [`SnapshotError`] for malformed JSON, schema
-    /// violations, unknown versions or invalid embedded configurations.
+    /// violations (including captured state the configuration cannot
+    /// hold), unknown versions or invalid embedded configurations.
     /// Never panics on untrusted input.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let root = JsonValue::parse(text)?;
-        let kind = want_str(&root, "$", "kind")?;
-        if kind != SNAPSHOT_KIND {
-            return Err(schema("$.kind", format!("expected \"{SNAPSHOT_KIND}\", got \"{kind}\"")));
-        }
-        let version = want_u64(&root, "$", "version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version { found: version });
-        }
-        let config = config_from_json(want(&root, "$", "config")?)?;
-        config.check()?;
-        if config.locality_tracking {
-            return Err(SnapshotError::Unsupported(
-                "locality_tracking devices cannot be snapshotted (v1)".into(),
-            ));
-        }
-        let wavefronts_dispatched = want_u64(&root, "$", "wavefronts_dispatched")?;
-        let cus_json = want_arr(&root, "$", "compute_units")?;
-        if cus_json.len() != config.compute_units {
-            return Err(schema(
-                "$.compute_units",
-                format!(
-                    "expected {} compute units, got {}",
-                    config.compute_units,
-                    cus_json.len()
-                ),
-            ));
-        }
-        let mut cus = Vec::with_capacity(cus_json.len());
-        for (i, cu) in cus_json.iter().enumerate() {
-            cus.push(cu_from_json(cu, &format!("$.compute_units[{i}]"), &config)?);
-        }
-        Ok(Self {
-            config,
-            wavefronts_dispatched,
-            cus,
-        })
+        let mut snapshot = Self {
+            config: DeviceConfig::default(),
+            wavefronts_dispatched: 0,
+            cus: Vec::new(),
+        };
+        let mut decoder = Decoder { cur: &root, path: Vec::new() };
+        decoder.obj(ITEM, &mut snapshot, walk_snapshot)?;
+        Ok(snapshot)
     }
 }
 
@@ -271,9 +286,7 @@ impl Device {
     /// not serialize the [`LocalitySink`](crate::sink::LocalitySink).
     pub fn snapshot(&self) -> Result<DeviceSnapshot, SnapshotError> {
         if self.config().locality_tracking {
-            return Err(SnapshotError::Unsupported(
-                "locality_tracking devices cannot be snapshotted (v1)".into(),
-            ));
+            return Err(unsupported_locality());
         }
         let cus = self.compute_units().iter().map(capture_cu).collect();
         Ok(DeviceSnapshot {
@@ -293,36 +306,15 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Config`] for invalid embedded
-    /// configurations and [`SnapshotError::Schema`] when the captured
-    /// state is inconsistent with the configured geometry.
+    /// None for a snapshot from [`Device::snapshot`] or
+    /// [`DeviceSnapshot::from_json`], which checked every rule this
+    /// relies on. The error arm reports a defect in those checks: an
+    /// injector state or a metrics series its owning type rejects.
     pub fn restore(snapshot: &DeviceSnapshot) -> Result<Self, SnapshotError> {
-        let config = &snapshot.config;
-        config.check()?;
-        if config.locality_tracking {
-            return Err(SnapshotError::Unsupported(
-                "locality_tracking devices cannot be restored (v1)".into(),
-            ));
-        }
-        if snapshot.cus.len() != config.compute_units {
-            return Err(schema(
-                "compute_units",
-                format!(
-                    "snapshot has {} compute units, config declares {}",
-                    snapshot.cus.len(),
-                    config.compute_units
-                ),
-            ));
-        }
-        let mut device = Device::new(config.clone());
-        let config = device.config().clone();
-        for (i, (cu, state)) in device
-            .compute_units_mut()
-            .iter_mut()
-            .zip(&snapshot.cus)
-            .enumerate()
-        {
-            restore_cu(cu, state, &config, &format!("compute_units[{i}]"))?;
+        let mut device = Device::new(snapshot.config.clone());
+        let config = snapshot.config();
+        for (cu, state) in device.compute_units_mut().iter_mut().zip(&snapshot.cus) {
+            restore_cu(cu, state, config)?;
         }
         device.set_wavefronts_dispatched(snapshot.wavefronts_dispatched);
         Ok(device)
@@ -336,26 +328,17 @@ impl Device {
     /// have to match: FIFO contents transfer wherever the geometries
     /// overlap (compute unit / stream core / opcode), entries preload
     /// oldest-first, and anything the target cannot hold (deeper FIFOs,
-    /// extra cores, malformed arities) is silently dropped. The warm
-    /// state is a pure function of the snapshot, which is what lets a
-    /// sharded campaign warm every trial identically on every shard.
+    /// extra cores) is silently dropped. The warm state is a pure
+    /// function of the snapshot, which is what lets a sharded campaign
+    /// warm every trial identically on every shard.
     pub fn preload_fifos(&mut self, snapshot: &DeviceSnapshot) {
         let config = self.config().clone();
         for (cu, state) in self.compute_units_mut().iter_mut().zip(&snapshot.cus) {
-            for (sc, sc_state) in cu.stream_cores_mut().iter_mut().zip(&state.stream_cores) {
-                for unit_state in sc_state {
-                    let memo = sc.unit_mut(unit_state.op, &config).memo_mut();
-                    for entry in &unit_state.fifo {
-                        let n = entry.operand_bits.len();
-                        if n == 0 || n > MAX_ARITY {
-                            continue;
-                        }
-                        let operands: Vec<f32> =
-                            entry.operand_bits.iter().map(|&b| f32::from_bits(b)).collect();
-                        memo.preload(
-                            Operands::from_slice(&operands),
-                            f32::from_bits(entry.result_bits),
-                        );
+            for (sc, units) in cu.stream_cores_mut().iter_mut().zip(&state.stream_cores) {
+                for unit in units {
+                    let memo = sc.unit_mut(unit.op, &config).memo_mut();
+                    for entry in &unit.fifo {
+                        entry.preload_into(memo);
                     }
                 }
             }
@@ -368,66 +351,49 @@ impl Device {
 // ---------------------------------------------------------------------
 
 fn capture_cu(cu: &ComputeUnit) -> CuState {
-    let tallies = cu.tallies().map(|(op, t)| (*op, *t)).collect();
-    let energy = cu.ledger().breakdown();
-    let metrics = cu.metrics().map(capture_metrics);
-    let stream_cores = cu
-        .stream_cores()
-        .iter()
-        .map(|sc| {
-            sc.units()
-                .map(|(op, unit)| {
-                    let memo = unit.memo();
-                    let mmio = memo.mmio();
-                    // Newest-first per `MemoFifo::iter`; store oldest
-                    // first so `preload` replays reproduce the order.
-                    let mut fifo: Vec<EntryState> = memo
-                        .fifo()
-                        .iter()
-                        .map(|e| EntryState {
-                            operand_bits: e
-                                .operands
-                                .as_slice()
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect(),
-                            result_bits: e.result.to_bits(),
-                        })
-                        .collect();
-                    fifo.reverse();
-                    let pipeline = unit.fpu().pipeline();
-                    UnitState {
-                        op: *op,
-                        ctrl: mmio.read(Reg::Ctrl),
-                        mask: mmio.read(Reg::Mask),
-                        threshold_bits: mmio.read(Reg::Threshold),
-                        update_after_recovery: memo.update_after_recovery(),
-                        stats: memo.stats(),
-                        fifo,
-                        fpu_counters: unit.fpu().counters(),
-                        last_issue: pipeline.last_issue(),
-                        issued: pipeline.issued(),
-                        slip_cycles: pipeline.slip_cycles(),
-                        gate: unit.gate().map(|g| g.state()),
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let capture_sc = |sc: &StreamCore| sc.units().map(|(op, unit)| capture_unit(*op, unit)).collect();
     CuState {
         cycles: cu.cycles(),
         ecu_recoveries: cu.ecu().recoveries(),
         ecu_recovery_cycles: cu.ecu().recovery_cycles(),
         injectors: cu.injectors().iter().map(|s| s.state()).collect(),
-        tallies,
-        energy,
-        metrics,
-        stream_cores,
+        tallies: cu.tallies().map(|(op, t)| (*op, *t)).collect(),
+        energy: cu.ledger().breakdown(),
+        metrics: cu.metrics().map(capture_metrics),
+        stream_cores: cu.stream_cores().iter().map(capture_sc).collect(),
+    }
+}
+
+fn capture_unit(op: FpOp, unit: &LaneUnit) -> UnitState {
+    let memo = unit.memo();
+    let mmio = memo.mmio();
+    let pipeline = unit.fpu().pipeline();
+    let entry = |e: &MemoEntry| EntryState {
+        operand_bits: e.operands.as_slice().iter().map(|v| v.to_bits()).collect(),
+        result_bits: e.result.to_bits(),
+    };
+    // Newest-first per `MemoFifo::iter`; store oldest first so
+    // `preload` replays reproduce the order.
+    let mut fifo: Vec<EntryState> = memo.fifo().iter().map(entry).collect();
+    fifo.reverse();
+    UnitState {
+        op,
+        ctrl: mmio.read(Reg::Ctrl),
+        mask: mmio.read(Reg::Mask),
+        threshold_bits: mmio.read(Reg::Threshold),
+        update_after_recovery: memo.update_after_recovery(),
+        stats: memo.stats(),
+        fifo,
+        fpu_counters: unit.fpu().counters(),
+        last_issue: pipeline.last_issue(),
+        issued: pipeline.issued(),
+        slip_cycles: pipeline.slip_cycles(),
+        gate: unit.gate().map(|g| g.state()),
     }
 }
 
 fn capture_metrics(sink: &MetricsSink) -> MetricsState {
-    let capture = |s: &tm_obs::WindowedSeries<METRICS_CHANNELS>| SeriesState {
+    let capture = |s: &WindowedSeries<METRICS_CHANNELS>| SeriesState {
         initial_width: s.initial_width(),
         width: s.width(),
         windows: s.windows().to_vec(),
@@ -445,39 +411,13 @@ fn capture_metrics(sink: &MetricsSink) -> MetricsState {
 // Restore
 // ---------------------------------------------------------------------
 
-fn restore_cu(
-    cu: &mut ComputeUnit,
-    state: &CuState,
-    config: &DeviceConfig,
-    path: &str,
-) -> Result<(), SnapshotError> {
-    if state.injectors.len() != config.stream_cores_per_cu {
-        return Err(schema(
-            path,
-            format!(
-                "snapshot has {} injector states, config declares {} stream cores",
-                state.injectors.len(),
-                config.stream_cores_per_cu
-            ),
-        ));
-    }
-    if state.stream_cores.len() != config.stream_cores_per_cu {
-        return Err(schema(
-            path,
-            format!(
-                "snapshot has {} stream cores, config declares {}",
-                state.stream_cores.len(),
-                config.stream_cores_per_cu
-            ),
-        ));
-    }
+fn restore_cu(cu: &mut ComputeUnit, state: &CuState, config: &DeviceConfig) -> Step {
+    let defect = |msg: &str| SnapshotError::Schema(format!("restore: {msg}"));
     cu.set_cycles(state.cycles);
     cu.ecu_mut()
         .restore_tallies(state.ecu_recoveries, state.ecu_recovery_cycles);
-    for (i, (sampler, st)) in cu.injectors_mut().iter_mut().zip(&state.injectors).enumerate() {
-        sampler
-            .restore_state(st)
-            .map_err(|e| schema(&format!("{path}.injectors[{i}]"), e))?;
+    for (sampler, st) in cu.injectors_mut().iter_mut().zip(&state.injectors) {
+        sampler.restore_state(st).map_err(defect)?;
     }
 
     // Accounting: tallies, energy and (when configured) metrics.
@@ -485,20 +425,6 @@ fn restore_cu(
     tallies.clear();
     tallies.extend(state.tallies.iter().copied());
     let b = &state.energy;
-    for (name, pj) in [
-        ("fpu_exec_pj", b.fpu_exec_pj),
-        ("hit_pj", b.hit_pj),
-        ("lut_lookup_pj", b.lut_lookup_pj),
-        ("lut_update_pj", b.lut_update_pj),
-        ("recovery_pj", b.recovery_pj),
-    ] {
-        if !pj.is_finite() || pj < 0.0 {
-            return Err(schema(
-                &format!("{path}.energy.{name}"),
-                format!("energy must be finite and non-negative, got {pj}"),
-            ));
-        }
-    }
     let ledger = cu.ledger_mut();
     ledger.reset();
     ledger.charge_exec(b.fpu_exec_pj);
@@ -506,932 +432,662 @@ fn restore_cu(
     ledger.charge_lut_lookup(b.lut_lookup_pj);
     ledger.charge_lut_update(b.lut_update_pj);
     ledger.charge_recovery(b.recovery_pj);
-    match (config.metrics_window, &state.metrics) {
-        (None, None) => {}
-        (None, Some(_)) => {
-            return Err(schema(
-                &format!("{path}.metrics"),
-                "snapshot carries metrics but the config disables them",
-            ));
-        }
-        (Some(_), None) => {
-            return Err(schema(
-                &format!("{path}.metrics"),
-                "config enables metrics but the snapshot has none",
-            ));
-        }
-        (Some(window), Some(metrics)) => {
-            let mpath = format!("{path}.metrics");
-            let total = build_series(&metrics.total, window, &format!("{mpath}.total"))?;
-            let mut per_op = Vec::with_capacity(metrics.per_op.len());
-            for (op, s) in &metrics.per_op {
-                let series = build_series(s, window, &format!("{mpath}.per_op.{}", op.mnemonic()))?;
-                per_op.push((*op, series));
-            }
-            let sink = cu
-                .metrics_mut()
-                .ok_or_else(|| schema(&mpath, "device has no metrics sink despite the config"))?;
-            sink.restore_series(total, per_op);
-        }
+    if let (Some(sink), Some(m)) = (cu.metrics_mut(), &state.metrics) {
+        let per_op: Option<_> = m.per_op.iter().map(|(op, s)| Some((*op, s.rebuild()?))).collect();
+        let series = m.total.rebuild().zip(per_op).ok_or_else(|| defect("inconsistent series"))?;
+        sink.restore_series(series.0, series.1);
     }
 
     // Lane units, materialized in snapshot order.
-    for (sc_index, (sc_state, _)) in state
-        .stream_cores
-        .iter()
-        .zip(0..config.stream_cores_per_cu)
-        .enumerate()
-    {
-        for (u, unit_state) in sc_state.iter().enumerate() {
-            let upath = format!(
-                "{path}.stream_cores[{sc_index}][{u}] ({})",
-                unit_state.op.mnemonic()
-            );
-            validate_unit(unit_state, config, &upath)?;
-            let unit = cu.stream_cores_mut()[sc_index].unit_mut(unit_state.op, config);
+    for (sc, units) in cu.stream_cores_mut().iter_mut().zip(&state.stream_cores) {
+        for u in units {
+            let unit = sc.unit_mut(u.op, config);
             let memo = unit.memo_mut();
             // Raw register writes first: `write_reg` does not clear the
             // FIFO, unlike `set_enabled(false)`.
-            memo.write_reg(Reg::Ctrl, unit_state.ctrl);
-            memo.write_reg(Reg::Mask, unit_state.mask);
-            memo.write_reg(Reg::Threshold, unit_state.threshold_bits);
-            for entry in &unit_state.fifo {
-                let operands: Vec<f32> =
-                    entry.operand_bits.iter().map(|&b| f32::from_bits(b)).collect();
-                memo.preload(Operands::from_slice(&operands), f32::from_bits(entry.result_bits));
+            memo.write_reg(Reg::Ctrl, u.ctrl);
+            memo.write_reg(Reg::Mask, u.mask);
+            memo.write_reg(Reg::Threshold, u.threshold_bits);
+            for entry in &u.fifo {
+                entry.preload_into(memo);
             }
-            memo.restore_stats(unit_state.stats);
-            memo.set_update_after_recovery(unit_state.update_after_recovery);
-            unit.fpu_mut().restore_state(
-                unit_state.fpu_counters,
-                unit_state.last_issue,
-                unit_state.issued,
-                unit_state.slip_cycles,
-            );
-            match (unit.gate_mut(), unit_state.gate) {
-                (Some(gate), Some(gs)) => gate.restore_state(gs),
-                (None, None) => {}
-                (Some(_), None) => {
-                    return Err(schema(&upath, "config expects adaptive-gate state, snapshot has none"));
-                }
-                (None, Some(_)) => {
-                    return Err(schema(&upath, "snapshot carries adaptive-gate state but the config has no gate"));
-                }
+            memo.restore_stats(u.stats);
+            memo.set_update_after_recovery(u.update_after_recovery);
+            unit.fpu_mut()
+                .restore_state(u.fpu_counters, u.last_issue, u.issued, u.slip_cycles);
+            if let (Some(gate), Some(gs)) = (unit.gate_mut(), u.gate) {
+                gate.restore_state(gs);
             }
         }
     }
     Ok(())
 }
 
-fn validate_unit(
-    unit: &UnitState,
-    config: &DeviceConfig,
-    path: &str,
-) -> Result<(), SnapshotError> {
-    if unit.fifo.len() > config.fifo_depth {
-        return Err(schema(
-            path,
-            format!(
-                "{} FIFO entries exceed the configured depth {}",
-                unit.fifo.len(),
-                config.fifo_depth
-            ),
-        ));
-    }
-    for (i, entry) in unit.fifo.iter().enumerate() {
-        let n = entry.operand_bits.len();
-        if n == 0 || n > MAX_ARITY {
-            return Err(schema(
-                &format!("{path}.fifo[{i}]"),
-                format!("operand count {n} out of range 1..={MAX_ARITY}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn build_series(
-    state: &SeriesState,
-    configured_window: u64,
-    path: &str,
-) -> Result<tm_obs::WindowedSeries<METRICS_CHANNELS>, SnapshotError> {
-    if state.initial_width != configured_window {
-        return Err(schema(
-            path,
-            format!(
-                "series initial width {} does not match the configured metrics window {}",
-                state.initial_width, configured_window
-            ),
-        ));
-    }
-    tm_obs::WindowedSeries::from_parts(
-        state.initial_width,
-        state.width,
-        MetricsSink::MAX_WINDOWS,
-        state.windows.clone(),
-    )
-    .ok_or_else(|| schema(path, "inconsistent windowed-series geometry"))
-}
-
 // ---------------------------------------------------------------------
-// JSON encoding
+// The walk: one field list per schema type, for both directions
 // ---------------------------------------------------------------------
 
-fn hex64(v: u64) -> String {
-    format!("0x{v:x}")
-}
+/// What one step of a walk returns: only a decoder fails.
+type Step = Result<(), SnapshotError>;
 
-fn hex32(v: u32) -> String {
-    format!("0x{v:x}")
-}
+/// A field name. [`ITEM`], the empty name, addresses the array element
+/// being walked rather than a field of it.
+type Key = &'static str;
 
-fn config_to_json(c: &DeviceConfig) -> String {
-    let mut w = ObjWriter::new();
-    w.u64_field("compute_units", c.compute_units as u64);
-    w.u64_field("stream_cores_per_cu", c.stream_cores_per_cu as u64);
-    w.u64_field("wavefront_size", c.wavefront_size as u64);
-    w.str_field(
-        "arch",
-        match c.arch {
-            ArchMode::Memoized => "memoized",
-            ArchMode::Baseline => "baseline",
-            ArchMode::Spatial => "spatial",
-        },
-    );
-    w.u64_field("fifo_depth", c.fifo_depth as u64);
-    w.str_field(
-        "replacement",
-        match c.replacement {
-            Replacement::Fifo => "fifo",
-            Replacement::Lru => "lru",
-        },
-    );
-    w.raw_field("policy", &policy_to_json(c.policy));
-    w.raw_field("recovery", &recovery_to_json(c.recovery));
-    w.raw_field("error_mode", &error_mode_to_json(c.error_mode));
-    w.raw_field("error_model", &error_model_to_json(&c.error_model));
-    w.f64_field("vdd", c.vdd);
-    w.raw_field("voltage_model", &voltage_model_to_json(&c.voltage_model));
-    w.raw_field("energy_model", &energy_model_to_json(&c.energy_model));
-    w.str_field("seed", &hex64(c.seed));
-    w.u64_field("trace_depth", c.trace_depth as u64);
-    match c.adaptive_gate {
-        None => w.raw_field("adaptive_gate", "null"),
-        Some(g) => w.raw_field("adaptive_gate", &gate_policy_to_json(g)),
+/// The key under which [`Walk::arr`] walks each element.
+const ITEM: Key = "";
+
+/// The field kinds of the snapshot schema.
+///
+/// Each `walk_*` function below lists its type's fields once, in
+/// document order, and both an [`Encoder`] and a [`Decoder`] drive it:
+/// the encoder writes each value it is handed, the decoder overwrites it
+/// with the document's.
+trait Walk: Sized {
+    /// A JSON integer of at most 2^53 that fits `T`.
+    fn int<T: Copy + fmt::Display + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step;
+    /// A finite number.
+    fn f64(&mut self, key: Key, v: &mut f64) -> Step;
+    /// An energy in pJ: a finite, non-negative number.
+    fn pj(&mut self, key: Key, v: &mut f64) -> Step {
+        self.f64(key, v)?;
+        let pj = *v;
+        let msg = format_args!("energy must be non-negative, got {pj}");
+        self.check(|| if pj >= 0.0 { Ok(()) } else { Err(self.fail(key, msg)) })
     }
-    w.str_field("backend", c.backend.name());
-    w.bool_field("locality_tracking", c.locality_tracking);
-    match c.metrics_window {
-        None => w.raw_field("metrics_window", "null"),
-        Some(n) => w.u64_field("metrics_window", n),
+    /// `true` or `false`.
+    fn bool(&mut self, key: Key, v: &mut bool) -> Step;
+    /// A `0x`-prefixed hex string that fits `T`: a 64-bit word or an
+    /// IEEE-754 bit pattern.
+    fn hex<T: Copy + fmt::LowerHex + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step;
+    /// One of `names`. The encoder writes the first name whose value is
+    /// `v`'s variant; the decoder sets `v` to the value of the name it
+    /// reads, and the walk then visits that variant's fields.
+    fn variant<T: Clone>(&mut self, key: Key, v: &mut T, names: &[(T, Key)]) -> Step;
+    /// `null`, or a value that `walk` walks under `key`.
+    fn opt<T: Default>(
+        &mut self,
+        key: Key,
+        v: &mut Option<T>,
+        walk: impl FnOnce(&mut Self, Key, &mut T) -> Step,
+    ) -> Step;
+    /// An object whose fields `walk` walks.
+    fn obj<T>(&mut self, key: Key, v: &mut T, walk: impl FnOnce(&mut Self, &mut T) -> Step) -> Step;
+    /// An array whose elements `walk` walks under [`ITEM`]; the decoder
+    /// walks each into a copy of `blank`.
+    fn arr<T: Clone>(
+        &mut self,
+        key: Key,
+        v: &mut Vec<T>,
+        blank: &T,
+        walk: impl FnMut(&mut Self, Key, &mut T) -> Step,
+    ) -> Step;
+    /// An array of exactly `v.len()` finite numbers.
+    fn f64s(&mut self, key: Key, v: &mut [f64]) -> Step;
+    /// A schema error at field `key` of the current value ([`ITEM`]: at
+    /// the value itself).
+    fn fail(&self, key: Key, msg: impl fmt::Display) -> SnapshotError;
+    /// Runs `rule`. The encoder skips it: everything it encodes was
+    /// captured from a device or has been decoded already.
+    fn check(&self, rule: impl FnOnce() -> Step) -> Step {
+        rule()
     }
-    w.finish()
+    /// A rule on the current object: `ok()` must hold.
+    fn ensure(&self, ok: impl FnOnce() -> bool, msg: impl fmt::Display) -> Step {
+        self.check(|| if ok() { Ok(()) } else { Err(self.fail(ITEM, msg)) })
+    }
 }
 
-fn policy_to_json(p: MatchPolicy) -> String {
-    let mut w = ObjWriter::new();
-    match p {
-        MatchPolicy::Exact => w.str_field("kind", "exact"),
-        MatchPolicy::Threshold(t) => {
-            w.str_field("kind", "threshold");
-            // Bit pattern, not decimal: lossless for every f32.
-            w.str_field("threshold_bits", &hex32(t.to_bits()));
-        }
-        MatchPolicy::MaskBits(mask) => {
-            w.str_field("kind", "mask_bits");
-            w.u64_field("mask", u64::from(mask));
-        }
-    }
-    w.finish()
+/// Writes a document into one buffer, byte for byte what the
+/// `tm_obs::ObjWriter` helpers write.
+#[derive(Default)]
+struct Encoder {
+    out: String,
 }
 
-fn recovery_to_json(r: RecoveryPolicy) -> String {
-    let mut w = ObjWriter::new();
-    match r {
-        RecoveryPolicy::FlushReplay { cycles_per_error } => {
-            w.str_field("kind", "flush_replay");
-            w.u64_field("cycles_per_error", u64::from(cycles_per_error));
+impl Encoder {
+    /// Starts a value: a comma unless it opens its object or array, then
+    /// `"key":` unless it is an array element.
+    fn key(&mut self, key: Key) -> &mut String {
+        if !matches!(self.out.as_bytes().last(), None | Some(b'{' | b'[')) {
+            self.out.push(',');
         }
-        RecoveryPolicy::MultipleIssueReplay { issues } => {
-            w.str_field("kind", "multiple_issue_replay");
-            w.u64_field("issues", u64::from(issues));
+        if !key.is_empty() {
+            self.out.push('"');
+            escape_into(&mut self.out, key);
+            self.out.push_str("\":");
         }
-        RecoveryPolicy::HalfFrequencyReplay => w.str_field("kind", "half_frequency_replay"),
-        RecoveryPolicy::DecouplingQueue => w.str_field("kind", "decoupling_queue"),
+        &mut self.out
     }
-    w.finish()
+
+    fn raw(&mut self, key: Key, value: fmt::Arguments<'_>) -> Step {
+        self.key(key).write_fmt(value).expect("writing to a String cannot fail");
+        Ok(())
+    }
+
+    fn str(&mut self, key: Key, s: &str) -> Step {
+        let out = self.key(key);
+        out.push('"');
+        escape_into(out, s);
+        out.push('"');
+        Ok(())
+    }
 }
 
-fn error_mode_to_json(m: ErrorMode) -> String {
-    let mut w = ObjWriter::new();
-    match m {
-        ErrorMode::FixedRate(rate) => {
-            w.str_field("kind", "fixed_rate");
-            w.f64_field("rate", rate);
-        }
-        ErrorMode::PerStageRate(rate) => {
-            w.str_field("kind", "per_stage_rate");
-            w.f64_field("rate", rate);
-        }
-        ErrorMode::FromVoltage => w.str_field("kind", "from_voltage"),
+impl Walk for Encoder {
+    fn int<T: Copy + fmt::Display + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step {
+        self.raw(key, format_args!("{v}"))
     }
-    w.finish()
+
+    fn f64(&mut self, key: Key, v: &mut f64) -> Step {
+        write_f64(self.key(key), *v);
+        Ok(())
+    }
+
+    fn bool(&mut self, key: Key, v: &mut bool) -> Step {
+        self.raw(key, format_args!("{v}"))
+    }
+
+    fn hex<T: Copy + fmt::LowerHex + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step {
+        self.raw(key, format_args!("\"0x{v:x}\""))
+    }
+
+    fn variant<T: Clone>(&mut self, key: Key, v: &mut T, names: &[(T, Key)]) -> Step {
+        let named = names.iter().find(|(t, _)| discriminant(t) == discriminant(v));
+        self.str(key, named.expect("every variant has a name").1)
+    }
+
+    fn opt<T: Default>(
+        &mut self,
+        key: Key,
+        v: &mut Option<T>,
+        walk: impl FnOnce(&mut Self, Key, &mut T) -> Step,
+    ) -> Step {
+        match v {
+            Some(x) => walk(self, key, x),
+            None => self.raw(key, format_args!("null")),
+        }
+    }
+
+    fn obj<T>(&mut self, key: Key, v: &mut T, walk: impl FnOnce(&mut Self, &mut T) -> Step) -> Step {
+        self.key(key).push('{');
+        walk(self, v)?;
+        self.out.push('}');
+        Ok(())
+    }
+
+    fn arr<T: Clone>(
+        &mut self,
+        key: Key,
+        v: &mut Vec<T>,
+        _blank: &T,
+        mut walk: impl FnMut(&mut Self, Key, &mut T) -> Step,
+    ) -> Step {
+        self.key(key).push('[');
+        for x in v {
+            walk(self, ITEM, x)?;
+        }
+        self.out.push(']');
+        Ok(())
+    }
+
+    fn f64s(&mut self, key: Key, v: &mut [f64]) -> Step {
+        self.key(key).push('[');
+        for x in v {
+            self.f64(ITEM, x)?;
+        }
+        self.out.push(']');
+        Ok(())
+    }
+
+    fn fail(&self, _key: Key, msg: impl fmt::Display) -> SnapshotError {
+        SnapshotError::Schema(msg.to_string())
+    }
+
+    fn check(&self, _rule: impl FnOnce() -> Step) -> Step {
+        Ok(())
+    }
 }
 
-fn error_model_to_json(m: &ErrorModelSpec) -> String {
-    let mut w = ObjWriter::new();
-    w.str_field("kind", m.name());
-    match m {
-        ErrorModelSpec::Uniform | ErrorModelSpec::VoltageCoupled { .. } => {
-            if let ErrorModelSpec::VoltageCoupled { sigma_vdd } = m {
-                w.f64_field("sigma_vdd", *sigma_vdd);
+/// One step of the path from the document root to a value.
+#[derive(Clone, Copy)]
+enum Seg {
+    Key(Key),
+    Index(usize),
+}
+
+/// Reads a parsed document. It keeps the path to the current value as
+/// a stack of segments and formats it only into an error.
+struct Decoder<'a> {
+    cur: &'a JsonValue,
+    path: Vec<Seg>,
+}
+
+impl<'a> Decoder<'a> {
+    fn value(&self, key: Key) -> Result<&'a JsonValue, SnapshotError> {
+        if key.is_empty() {
+            return Ok(self.cur);
+        }
+        self.cur.get(key).ok_or_else(|| self.fail(key, "missing field"))
+    }
+
+    /// The value at `key`, converted by `as_t`, or a schema error saying
+    /// what it `must` be.
+    fn want<T>(&self, key: Key, as_t: impl FnOnce(&'a JsonValue) -> Option<T>, must: &str)
+        -> Result<T, SnapshotError> {
+        as_t(self.value(key)?).ok_or_else(|| self.fail(key, format_args!("must be {must}")))
+    }
+
+    /// Runs `walk` with `value`, the value at `key`, as the current one.
+    fn enter(&mut self, key: Key, value: &'a JsonValue, walk: impl FnOnce(&mut Self) -> Step) -> Step {
+        let seg = (!key.is_empty()).then_some(Seg::Key(key));
+        let outer = std::mem::replace(&mut self.cur, value);
+        self.path.extend(seg);
+        walk(self)?;
+        if seg.is_some() {
+            self.path.pop();
+        }
+        self.cur = outer;
+        Ok(())
+    }
+}
+
+impl Walk for Decoder<'_> {
+    fn int<T: Copy + fmt::Display + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step {
+        let in_range = |x: &JsonValue| x.as_u64().filter(|&n| n <= MAX_JSON_INT);
+        let n = self.want(key, in_range, "an integer in [0, 2^53]")?;
+        *v = T::try_from(n).map_err(|_| self.fail(key, format_args!("{n} is out of range")))?;
+        Ok(())
+    }
+
+    fn f64(&mut self, key: Key, v: &mut f64) -> Step {
+        *v = self.want(key, |x| x.as_f64().filter(|x| x.is_finite()), "a finite number")?;
+        Ok(())
+    }
+
+    fn bool(&mut self, key: Key, v: &mut bool) -> Step {
+        *v = self.want(key, JsonValue::as_bool, "a boolean")?;
+        Ok(())
+    }
+
+    fn hex<T: Copy + fmt::LowerHex + TryFrom<u64>>(&mut self, key: Key, v: &mut T) -> Step {
+        let s = self.want(key, JsonValue::as_str, "a string")?;
+        let word = s.strip_prefix("0x").and_then(|h| u64::from_str_radix(h, 16).ok());
+        *v = word.and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+            let bits = 8 * size_of::<T>();
+            self.fail(key, format_args!("must be a 0x-prefixed {bits}-bit hex word, got \"{s}\""))
+        })?;
+        Ok(())
+    }
+
+    fn variant<T: Clone>(&mut self, key: Key, v: &mut T, names: &[(T, Key)]) -> Step {
+        let s = self.want(key, JsonValue::as_str, "a string")?;
+        let named = names.iter().find(|(_, name)| *name == s);
+        *v = named.ok_or_else(|| self.fail(key, format_args!("unknown value \"{s}\"")))?.0.clone();
+        Ok(())
+    }
+
+    fn opt<T: Default>(
+        &mut self,
+        key: Key,
+        v: &mut Option<T>,
+        walk: impl FnOnce(&mut Self, Key, &mut T) -> Step,
+    ) -> Step {
+        *v = None;
+        if !matches!(self.value(key)?, JsonValue::Null) {
+            walk(self, key, v.insert(T::default()))?;
+        }
+        Ok(())
+    }
+
+    fn obj<T>(&mut self, key: Key, v: &mut T, walk: impl FnOnce(&mut Self, &mut T) -> Step) -> Step {
+        let value = self.want(key, |x| x.as_obj().map(|_| x), "an object")?;
+        self.enter(key, value, |d| walk(d, v))
+    }
+
+    fn arr<T: Clone>(
+        &mut self,
+        key: Key,
+        v: &mut Vec<T>,
+        blank: &T,
+        mut walk: impl FnMut(&mut Self, Key, &mut T) -> Step,
+    ) -> Step {
+        let value = self.value(key)?;
+        let items = value.as_arr().ok_or_else(|| self.fail(key, "must be an array"))?;
+        self.enter(key, value, |d| {
+            v.clear();
+            v.reserve(items.len());
+            for (i, item) in items.iter().enumerate() {
+                let x = v.push_mut(blank.clone());
+                d.path.push(Seg::Index(i));
+                d.enter(ITEM, item, |d| walk(d, ITEM, x))?;
+                d.path.pop();
             }
-        }
-        ErrorModelSpec::Heterogeneous(h) => {
-            w.f64_field("slow_fraction", h.slow_fraction);
-            w.f64_field("slow_factor", h.slow_factor);
-            w.f64_field("fast_fraction", h.fast_fraction);
-            w.f64_field("fast_factor", h.fast_factor);
-        }
-        ErrorModelSpec::Burst(b) => {
-            w.f64_field("enter", b.enter);
-            w.f64_field("exit", b.exit);
-            w.f64_field("burst_factor", b.burst_factor);
-        }
+            Ok(())
+        })
     }
-    w.finish()
-}
 
-fn voltage_model_to_json(v: &VoltageModel) -> String {
-    let mut w = ObjWriter::new();
-    w.f64_field("nominal_vdd", v.nominal_vdd());
-    w.f64_field("onset_vdd", v.onset_vdd());
-    w.f64_field("base_rate", v.base_rate());
-    w.f64_field("alpha", v.alpha());
-    w.f64_field("vth", v.vth());
-    w.finish()
-}
-
-fn energy_model_to_json(e: &EnergyModel) -> String {
-    let mut w = ObjWriter::new();
-    w.f64_field("epi_add_pj", e.epi_add_pj);
-    w.f64_field("lut_lookup_frac", e.lut_lookup_frac);
-    w.f64_field("lut_update_frac", e.lut_update_frac);
-    w.f64_field("gated_stage_residual", e.gated_stage_residual);
-    w.f64_field("recovery_cycle_frac", e.recovery_cycle_frac);
-    w.f64_field("spatial_broadcast_frac", e.spatial_broadcast_frac);
-    w.finish()
-}
-
-fn gate_policy_to_json(g: GatePolicy) -> String {
-    let mut w = ObjWriter::new();
-    w.u64_field("window", g.window);
-    w.f64_field("min_hit_rate", g.min_hit_rate);
-    w.u64_field("gate_period", g.gate_period);
-    w.u64_field("consecutive_windows", u64::from(g.consecutive_windows));
-    w.finish()
-}
-
-fn cu_to_json(cu: &CuState) -> String {
-    let mut w = ObjWriter::new();
-    w.u64_field("cycles", cu.cycles);
-    {
-        let mut e = ObjWriter::new();
-        e.u64_field("recoveries", cu.ecu_recoveries);
-        e.u64_field("recovery_cycles", cu.ecu_recovery_cycles);
-        w.raw_field("ecu", &e.finish());
+    fn f64s(&mut self, key: Key, v: &mut [f64]) -> Step {
+        let n = v.len();
+        let must = || self.fail(key, format_args!("must be an array of {n} finite numbers"));
+        let items = self.value(key)?.as_arr().filter(|items| items.len() == n).ok_or_else(must)?;
+        for (x, item) in v.iter_mut().zip(items) {
+            *x = item.as_f64().filter(|x| x.is_finite()).ok_or_else(must)?;
+        }
+        Ok(())
     }
-    let injectors: Vec<String> = cu
-        .injectors
-        .iter()
-        .map(|s| {
-            let mut i = ObjWriter::new();
-            i.str_field("pcg_state", &hex64(s.pcg_state));
-            i.str_field("pcg_inc", &hex64(s.pcg_inc));
-            i.u64_field("drawn", s.drawn);
-            i.u64_field("errors", s.errors);
-            match s.burst_bad {
-                None => i.raw_field("burst_bad", "null"),
-                Some(b) => i.bool_field("burst_bad", b),
+
+    fn fail(&self, key: Key, msg: impl fmt::Display) -> SnapshotError {
+        let mut path = String::from("$");
+        for seg in self.path.iter().chain([Seg::Key(key)].iter().filter(|_| !key.is_empty())) {
+            match seg {
+                Seg::Key(k) => write!(path, ".{k}"),
+                Seg::Index(i) => write!(path, "[{i}]"),
             }
-            i.finish()
-        })
-        .collect();
-    w.raw_field("injectors", &format!("[{}]", injectors.join(",")));
-    let tallies: Vec<String> = cu
-        .tallies
-        .iter()
-        .map(|(op, t)| {
-            let mut o = ObjWriter::new();
-            o.str_field("op", op.mnemonic());
-            o.u64_field("lane_instructions", t.lane_instructions);
-            o.u64_field("vector_instructions", t.vector_instructions);
-            o.u64_field("spatial_hits", t.spatial_hits);
-            o.u64_field("spatial_masked_errors", t.spatial_masked_errors);
-            o.f64_field("energy_pj", t.energy_pj);
-            o.finish()
-        })
-        .collect();
-    w.raw_field("tallies", &format!("[{}]", tallies.join(",")));
-    {
-        let b = &cu.energy;
-        let mut e = ObjWriter::new();
-        e.f64_field("fpu_exec_pj", b.fpu_exec_pj);
-        e.f64_field("hit_pj", b.hit_pj);
-        e.f64_field("lut_lookup_pj", b.lut_lookup_pj);
-        e.f64_field("lut_update_pj", b.lut_update_pj);
-        e.f64_field("recovery_pj", b.recovery_pj);
-        w.raw_field("energy", &e.finish());
-    }
-    match &cu.metrics {
-        None => w.raw_field("metrics", "null"),
-        Some(m) => {
-            let mut o = ObjWriter::new();
-            o.raw_field("total", &series_to_json(&m.total));
-            let per_op: Vec<String> = m
-                .per_op
-                .iter()
-                .map(|(op, s)| {
-                    let mut p = ObjWriter::new();
-                    p.str_field("op", op.mnemonic());
-                    p.raw_field("series", &series_to_json(s));
-                    p.finish()
-                })
-                .collect();
-            o.raw_field("per_op", &format!("[{}]", per_op.join(",")));
-            w.raw_field("metrics", &o.finish());
+            .expect("writing to a String cannot fail");
         }
+        SnapshotError::Schema(format!("{path}: {msg}"))
     }
-    let scs: Vec<String> = cu
-        .stream_cores
-        .iter()
-        .map(|units| {
-            let us: Vec<String> = units.iter().map(unit_to_json).collect();
-            format!("[{}]", us.join(","))
+}
+
+/// Each opcode and its mnemonic, the name a document gives it.
+const OPS: [(FpOp, Key); ALL_OPS.len()] = {
+    let mut ops = [(FpOp::Add, ""); ALL_OPS.len()];
+    let mut i = 0;
+    while i < ops.len() {
+        ops[i] = (ALL_OPS[i], ALL_OPS[i].mnemonic());
+        i += 1;
+    }
+    ops
+};
+
+/// A document's `kind`: a device snapshot is the only one.
+#[derive(Clone)]
+enum Kind {
+    DeviceSnapshot,
+}
+
+fn walk_snapshot<W: Walk>(w: &mut W, s: &mut DeviceSnapshot) -> Step {
+    w.variant("kind", &mut Kind::DeviceSnapshot, &[(Kind::DeviceSnapshot, SNAPSHOT_KIND)])?;
+    let mut version = SNAPSHOT_VERSION;
+    w.int("version", &mut version)?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::Version { found: version });
+    }
+    w.obj("config", &mut s.config, walk_config)?;
+    let config = &s.config;
+    w.check(|| {
+        config.check()?;
+        (!config.locality_tracking).then_some(()).ok_or_else(unsupported_locality)
+    })?;
+    w.int("wavefronts_dispatched", &mut s.wavefronts_dispatched)?;
+    let cus = &mut s.cus;
+    w.arr("compute_units", cus, &CuState::default(), |w, k, cu| {
+        w.obj(k, cu, |w, cu| walk_cu(w, cu, config))
+    })?;
+    let (n, want) = (cus.len(), config.compute_units);
+    w.ensure(|| n == want, format_args!("{n} compute units, config declares {want}"))
+}
+
+fn walk_config<W: Walk>(w: &mut W, c: &mut DeviceConfig) -> Step {
+    w.int("compute_units", &mut c.compute_units)?;
+    w.int("stream_cores_per_cu", &mut c.stream_cores_per_cu)?;
+    w.int("wavefront_size", &mut c.wavefront_size)?;
+    let archs = [
+        (ArchMode::Memoized, "memoized"),
+        (ArchMode::Baseline, "baseline"),
+        (ArchMode::Spatial, "spatial"),
+    ];
+    w.variant("arch", &mut c.arch, &archs)?;
+    w.int("fifo_depth", &mut c.fifo_depth)?;
+    let replacements = [(Replacement::Fifo, "fifo"), (Replacement::Lru, "lru")];
+    w.variant("replacement", &mut c.replacement, &replacements)?;
+    w.obj("policy", &mut c.policy, walk_policy)?;
+    w.obj("recovery", &mut c.recovery, walk_recovery)?;
+    w.obj("error_mode", &mut c.error_mode, walk_error_mode)?;
+    w.obj("error_model", &mut c.error_model, walk_error_model)?;
+    w.f64("vdd", &mut c.vdd)?;
+    w.obj("voltage_model", &mut c.voltage_model, walk_voltage_model)?;
+    w.obj("energy_model", &mut c.energy_model, |w, e| {
+        w.f64("epi_add_pj", &mut e.epi_add_pj)?;
+        w.f64("lut_lookup_frac", &mut e.lut_lookup_frac)?;
+        w.f64("lut_update_frac", &mut e.lut_update_frac)?;
+        w.f64("gated_stage_residual", &mut e.gated_stage_residual)?;
+        w.f64("recovery_cycle_frac", &mut e.recovery_cycle_frac)?;
+        w.f64("spatial_broadcast_frac", &mut e.spatial_broadcast_frac)
+    })?;
+    w.hex("seed", &mut c.seed)?;
+    w.int("trace_depth", &mut c.trace_depth)?;
+    w.opt("adaptive_gate", &mut c.adaptive_gate, |w, k, g| {
+        w.obj(k, g, |w, g: &mut GatePolicy| {
+            w.int("window", &mut g.window)?;
+            w.f64("min_hit_rate", &mut g.min_hit_rate)?;
+            w.int("gate_period", &mut g.gate_period)?;
+            w.int("consecutive_windows", &mut g.consecutive_windows)
         })
-        .collect();
-    w.raw_field("stream_cores", &format!("[{}]", scs.join(",")));
-    w.finish()
-}
-
-fn series_to_json(s: &SeriesState) -> String {
-    let mut w = ObjWriter::new();
-    w.u64_field("initial_width", s.initial_width);
-    w.u64_field("width", s.width);
-    let windows: Vec<String> = s.windows.iter().map(|win| f64_array(&win[..])).collect();
-    w.raw_field("windows", &format!("[{}]", windows.join(",")));
-    w.finish()
-}
-
-fn unit_to_json(u: &UnitState) -> String {
-    let mut w = ObjWriter::new();
-    w.str_field("op", u.op.mnemonic());
-    {
-        let mut m = ObjWriter::new();
-        m.u64_field("ctrl", u64::from(u.ctrl));
-        m.u64_field("mask", u64::from(u.mask));
-        m.str_field("threshold_bits", &hex32(u.threshold_bits));
-        w.raw_field("mmio", &m.finish());
-    }
-    w.bool_field("update_after_recovery", u.update_after_recovery);
-    {
-        let s = &u.stats;
-        let mut o = ObjWriter::new();
-        o.u64_field("lookups", s.lookups);
-        o.u64_field("hits", s.hits);
-        o.u64_field("misses", s.misses);
-        o.u64_field("updates", s.updates);
-        o.u64_field("masked_errors", s.masked_errors);
-        o.u64_field("recoveries", s.recoveries);
-        o.u64_field("errors_seen", s.errors_seen);
-        w.raw_field("stats", &o.finish());
-    }
-    let fifo: Vec<String> = u
-        .fifo
-        .iter()
-        .map(|e| {
-            let mut o = ObjWriter::new();
-            let operands: Vec<String> = e.operand_bits.iter().map(|&b| hex32(b)).collect();
-            o.raw_field("operands", &str_array(&operands));
-            o.str_field("result", &hex32(e.result_bits));
-            o.finish()
-        })
-        .collect();
-    w.raw_field("fifo", &format!("[{}]", fifo.join(",")));
-    {
-        let mut f = ObjWriter::new();
-        f.u64_field("executed", u.fpu_counters.executed);
-        f.u64_field("squashed", u.fpu_counters.squashed);
-        match u.last_issue {
-            None => f.raw_field("last_issue", "null"),
-            Some(c) => f.u64_field("last_issue", c),
-        }
-        f.u64_field("issued", u.issued);
-        f.u64_field("slip_cycles", u.slip_cycles);
-        w.raw_field("fpu", &f.finish());
-    }
-    match u.gate {
-        None => w.raw_field("gate", "null"),
-        Some(g) => {
-            let mut o = ObjWriter::new();
-            o.u64_field("window_accesses", g.window_accesses);
-            o.u64_field("window_hits", g.window_hits);
-            o.u64_field("gated_remaining", g.gated_remaining);
-            o.u64_field("times_gated", g.times_gated);
-            o.u64_field("low_windows", u64::from(g.low_windows));
-            w.raw_field("gate", &o.finish());
-        }
-    }
-    w.finish()
-}
-
-// ---------------------------------------------------------------------
-// JSON decoding
-// ---------------------------------------------------------------------
-
-fn want<'a>(v: &'a JsonValue, path: &str, key: &str) -> Result<&'a JsonValue, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| schema(path, format!("missing field `{key}`")))
-}
-
-fn want_u64(v: &JsonValue, path: &str, key: &str) -> Result<u64, SnapshotError> {
-    want(v, path, key)?
-        .as_u64()
-        .ok_or_else(|| schema(path, format!("field `{key}` must be a non-negative integer")))
-}
-
-fn want_u32(v: &JsonValue, path: &str, key: &str) -> Result<u32, SnapshotError> {
-    u32::try_from(want_u64(v, path, key)?)
-        .map_err(|_| schema(path, format!("field `{key}` exceeds 32 bits")))
-}
-
-fn want_usize(v: &JsonValue, path: &str, key: &str) -> Result<usize, SnapshotError> {
-    usize::try_from(want_u64(v, path, key)?)
-        .map_err(|_| schema(path, format!("field `{key}` does not fit in usize")))
-}
-
-fn want_f64(v: &JsonValue, path: &str, key: &str) -> Result<f64, SnapshotError> {
-    let x = want(v, path, key)?
-        .as_f64()
-        .ok_or_else(|| schema(path, format!("field `{key}` must be a number")))?;
-    if !x.is_finite() {
-        return Err(schema(path, format!("field `{key}` must be finite")));
-    }
-    Ok(x)
-}
-
-fn want_bool(v: &JsonValue, path: &str, key: &str) -> Result<bool, SnapshotError> {
-    want(v, path, key)?
-        .as_bool()
-        .ok_or_else(|| schema(path, format!("field `{key}` must be a boolean")))
-}
-
-fn want_str<'a>(v: &'a JsonValue, path: &str, key: &str) -> Result<&'a str, SnapshotError> {
-    want(v, path, key)?
-        .as_str()
-        .ok_or_else(|| schema(path, format!("field `{key}` must be a string")))
-}
-
-fn want_arr<'a>(v: &'a JsonValue, path: &str, key: &str) -> Result<&'a [JsonValue], SnapshotError> {
-    want(v, path, key)?
-        .as_arr()
-        .ok_or_else(|| schema(path, format!("field `{key}` must be an array")))
-}
-
-fn parse_hex(s: &str, path: &str, key: &str) -> Result<u64, SnapshotError> {
-    s.strip_prefix("0x")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| {
-            schema(
-                path,
-                format!("field `{key}` must be a 0x-prefixed hex string, got \"{s}\""),
-            )
-        })
-}
-
-fn want_hex64(v: &JsonValue, path: &str, key: &str) -> Result<u64, SnapshotError> {
-    parse_hex(want_str(v, path, key)?, path, key)
-}
-
-fn want_hex32(v: &JsonValue, path: &str, key: &str) -> Result<u32, SnapshotError> {
-    u32::try_from(want_hex64(v, path, key)?)
-        .map_err(|_| schema(path, format!("field `{key}` exceeds 32 bits")))
-}
-
-/// A `null`-able u64 field (the key must still be present).
-fn opt_u64(v: &JsonValue, path: &str, key: &str) -> Result<Option<u64>, SnapshotError> {
-    match want(v, path, key)? {
-        JsonValue::Null => Ok(None),
-        x => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| schema(path, format!("field `{key}` must be null or an integer"))),
-    }
-}
-
-fn unit_interval(x: f64, path: &str, key: &str) -> Result<f64, SnapshotError> {
-    if !(0.0..=1.0).contains(&x) {
-        return Err(schema(path, format!("field `{key}` must lie in [0, 1], got {x}")));
-    }
-    Ok(x)
-}
-
-fn non_negative(x: f64, path: &str, key: &str) -> Result<f64, SnapshotError> {
-    if x < 0.0 {
-        return Err(schema(path, format!("field `{key}` must be non-negative, got {x}")));
-    }
-    Ok(x)
-}
-
-fn parse_op(s: &str, path: &str) -> Result<FpOp, SnapshotError> {
-    ALL_OPS
-        .iter()
-        .copied()
-        .find(|op| op.mnemonic() == s)
-        .ok_or_else(|| schema(path, format!("unknown opcode mnemonic \"{s}\"")))
-}
-
-fn config_from_json(v: &JsonValue) -> Result<DeviceConfig, SnapshotError> {
-    let p = "$.config";
-    let arch = match want_str(v, p, "arch")? {
-        "memoized" => ArchMode::Memoized,
-        "baseline" => ArchMode::Baseline,
-        "spatial" => ArchMode::Spatial,
-        other => return Err(schema(p, format!("unknown arch \"{other}\""))),
-    };
-    let replacement = match want_str(v, p, "replacement")? {
-        "fifo" => Replacement::Fifo,
-        "lru" => Replacement::Lru,
-        other => return Err(schema(p, format!("unknown replacement policy \"{other}\""))),
-    };
+    })?;
     // Documents written before the intra-CU backend was removed may name
     // it (and carry an `intra_cu_shards` field, which is ignored): they
     // run on the parallel backend, which produces the same results.
-    let backend = match want_str(v, p, "backend")? {
-        "sequential" => ExecBackend::Sequential,
-        "parallel" | "intra-cu" => ExecBackend::Parallel,
-        other => return Err(schema(p, format!("unknown backend \"{other}\""))),
-    };
-    let policy = policy_from_json(want(v, p, "policy")?)?;
-    let recovery = recovery_from_json(want(v, p, "recovery")?)?;
-    let error_mode = error_mode_from_json(want(v, p, "error_mode")?)?;
-    let error_model = error_model_from_json(want(v, p, "error_model")?)?;
-    let voltage_model = voltage_model_from_json(want(v, p, "voltage_model")?)?;
-    let energy_model = energy_model_from_json(want(v, p, "energy_model")?)?;
-    let adaptive_gate = match want(v, p, "adaptive_gate")? {
-        JsonValue::Null => None,
-        g => Some(gate_policy_from_json(g)?),
-    };
-    Ok(DeviceConfig {
-        compute_units: want_usize(v, p, "compute_units")?,
-        stream_cores_per_cu: want_usize(v, p, "stream_cores_per_cu")?,
-        wavefront_size: want_usize(v, p, "wavefront_size")?,
-        arch,
-        fifo_depth: want_usize(v, p, "fifo_depth")?,
-        replacement,
-        policy,
-        recovery,
-        error_mode,
-        error_model,
-        vdd: want_f64(v, p, "vdd")?,
-        voltage_model,
-        energy_model,
-        seed: want_hex64(v, p, "seed")?,
-        trace_depth: want_usize(v, p, "trace_depth")?,
-        adaptive_gate,
-        backend,
-        locality_tracking: want_bool(v, p, "locality_tracking")?,
-        metrics_window: opt_u64(v, p, "metrics_window")?,
+    let backends = [
+        (ExecBackend::Sequential, "sequential"),
+        (ExecBackend::Parallel, "parallel"),
+        (ExecBackend::Parallel, "intra-cu"),
+    ];
+    w.variant("backend", &mut c.backend, &backends)?;
+    w.bool("locality_tracking", &mut c.locality_tracking)?;
+    w.opt("metrics_window", &mut c.metrics_window, W::int)
+}
+
+fn walk_policy<W: Walk>(w: &mut W, p: &mut MatchPolicy) -> Step {
+    let kinds = [
+        (MatchPolicy::Exact, "exact"),
+        (MatchPolicy::Threshold(0.0), "threshold"),
+        (MatchPolicy::MaskBits(0), "mask_bits"),
+    ];
+    w.variant("kind", p, &kinds)?;
+    match p {
+        MatchPolicy::Exact => Ok(()),
+        MatchPolicy::Threshold(t) => {
+            // Bit pattern, not decimal: lossless for every f32.
+            let mut bits = t.to_bits();
+            w.hex("threshold_bits", &mut bits)?;
+            *t = f32::from_bits(bits);
+            Ok(())
+        }
+        MatchPolicy::MaskBits(mask) => w.int("mask", mask),
+    }
+}
+
+fn walk_recovery<W: Walk>(w: &mut W, r: &mut RecoveryPolicy) -> Step {
+    let kinds = [
+        (RecoveryPolicy::FlushReplay { cycles_per_error: 0 }, "flush_replay"),
+        (RecoveryPolicy::MultipleIssueReplay { issues: 0 }, "multiple_issue_replay"),
+        (RecoveryPolicy::HalfFrequencyReplay, "half_frequency_replay"),
+        (RecoveryPolicy::DecouplingQueue, "decoupling_queue"),
+    ];
+    w.variant("kind", r, &kinds)?;
+    match r {
+        RecoveryPolicy::FlushReplay { cycles_per_error } => w.int("cycles_per_error", cycles_per_error),
+        RecoveryPolicy::MultipleIssueReplay { issues } => w.int("issues", issues),
+        RecoveryPolicy::HalfFrequencyReplay | RecoveryPolicy::DecouplingQueue => Ok(()),
+    }
+}
+
+fn walk_error_mode<W: Walk>(w: &mut W, m: &mut ErrorMode) -> Step {
+    let kinds = [
+        (ErrorMode::FixedRate(0.0), "fixed_rate"),
+        (ErrorMode::PerStageRate(0.0), "per_stage_rate"),
+        (ErrorMode::FromVoltage, "from_voltage"),
+    ];
+    w.variant("kind", m, &kinds)?;
+    match m {
+        ErrorMode::FixedRate(rate) | ErrorMode::PerStageRate(rate) => w.f64("rate", rate),
+        ErrorMode::FromVoltage => Ok(()),
+    }
+}
+
+fn walk_error_model<W: Walk>(w: &mut W, m: &mut ErrorModelSpec) -> Step {
+    let kinds = [
+        (ErrorModelSpec::Uniform, "uniform"),
+        (ErrorModelSpec::Heterogeneous(HeterogeneousErrors::quartile_corners()), "heterogeneous"),
+        (ErrorModelSpec::VoltageCoupled { sigma_vdd: 0.0 }, "voltage-coupled"),
+        (ErrorModelSpec::Burst(BurstErrors::droop()), "burst"),
+    ];
+    w.variant("kind", m, &kinds)?;
+    match m {
+        ErrorModelSpec::Uniform => Ok(()),
+        ErrorModelSpec::Heterogeneous(h) => {
+            w.f64("slow_fraction", &mut h.slow_fraction)?;
+            w.f64("slow_factor", &mut h.slow_factor)?;
+            w.f64("fast_fraction", &mut h.fast_fraction)?;
+            w.f64("fast_factor", &mut h.fast_factor)
+        }
+        ErrorModelSpec::VoltageCoupled { sigma_vdd } => w.f64("sigma_vdd", sigma_vdd),
+        ErrorModelSpec::Burst(b) => {
+            w.f64("enter", &mut b.enter)?;
+            w.f64("exit", &mut b.exit)?;
+            w.f64("burst_factor", &mut b.burst_factor)
+        }
+    }
+}
+
+fn walk_voltage_model<W: Walk>(w: &mut W, m: &mut VoltageModel) -> Step {
+    let mut parts = [m.nominal_vdd(), m.onset_vdd(), m.base_rate(), m.alpha(), m.vth()];
+    let keys = ["nominal_vdd", "onset_vdd", "base_rate", "alpha", "vth"];
+    for (key, x) in keys.into_iter().zip(&mut parts) {
+        w.f64(key, x)?;
+    }
+    let [nominal_vdd, onset_vdd, base_rate, alpha, vth] = parts;
+    *m = VoltageModel::try_new(nominal_vdd, onset_vdd, base_rate, alpha, vth)
+        .map_err(|e| w.fail(ITEM, e))?;
+    Ok(())
+}
+
+/// The value the decoder walks each injector into.
+const BLANK_INJECTOR: ErrorSamplerState =
+    ErrorSamplerState { pcg_state: 0, pcg_inc: 1, drawn: 0, errors: 0, burst_bad: None };
+
+fn walk_cu<W: Walk>(w: &mut W, cu: &mut CuState, config: &DeviceConfig) -> Step {
+    w.int("cycles", &mut cu.cycles)?;
+    w.obj("ecu", cu, |w, cu| {
+        w.int("recoveries", &mut cu.ecu_recoveries)?;
+        w.int("recovery_cycles", &mut cu.ecu_recovery_cycles)
+    })?;
+    let burst = matches!(config.error_model, ErrorModelSpec::Burst(_));
+    w.arr("injectors", &mut cu.injectors, &BLANK_INJECTOR, |w, k, s| {
+        w.obj(k, s, |w, s| walk_injector(w, s, burst))
+    })?;
+    w.arr("tallies", &mut cu.tallies, &(FpOp::Add, OpTally::default()), |w, k, t| {
+        w.obj(k, t, |w, (op, t)| {
+            w.variant("op", op, &OPS)?;
+            w.int("lane_instructions", &mut t.lane_instructions)?;
+            w.int("vector_instructions", &mut t.vector_instructions)?;
+            w.int("spatial_hits", &mut t.spatial_hits)?;
+            w.int("spatial_masked_errors", &mut t.spatial_masked_errors)?;
+            w.pj("energy_pj", &mut t.energy_pj)
+        })
+    })?;
+    w.obj("energy", &mut cu.energy, |w, e| {
+        w.pj("fpu_exec_pj", &mut e.fpu_exec_pj)?;
+        w.pj("hit_pj", &mut e.hit_pj)?;
+        w.pj("lut_lookup_pj", &mut e.lut_lookup_pj)?;
+        w.pj("lut_update_pj", &mut e.lut_update_pj)?;
+        w.pj("recovery_pj", &mut e.recovery_pj)
+    })?;
+    let window = config.metrics_window;
+    w.opt("metrics", &mut cu.metrics, |w, k, m| w.obj(k, m, |w, m| walk_metrics(w, m, window)))?;
+    // Each unit decodes into a fresh unit's state.
+    let blank_unit = capture_unit(FpOp::Add, &LaneUnit::new(FpOp::Add, config));
+    w.arr("stream_cores", &mut cu.stream_cores, &Vec::new(), |w, k, units| {
+        w.arr(k, units, &blank_unit, |w, k, u| w.obj(k, u, |w, u| walk_unit(w, u, config)))
+    })?;
+    let (injectors, scs, want) = (cu.injectors.len(), cu.stream_cores.len(), config.stream_cores_per_cu);
+    let msg = format_args!("{injectors} injectors and {scs} stream cores, config declares {want}");
+    w.ensure(|| injectors == want && scs == want, msg)?;
+    let msg = "metrics must be captured exactly when the config sets a metrics window";
+    w.ensure(|| cu.metrics.is_some() == window.is_some(), msg)
+}
+
+fn walk_injector<W: Walk>(w: &mut W, s: &mut ErrorSamplerState, burst: bool) -> Step {
+    w.hex("pcg_state", &mut s.pcg_state)?;
+    w.hex("pcg_inc", &mut s.pcg_inc)?;
+    w.int("drawn", &mut s.drawn)?;
+    w.int("errors", &mut s.errors)?;
+    w.opt("burst_bad", &mut s.burst_bad, W::bool)?;
+    w.ensure(|| s.pcg_inc % 2 == 1, "PCG increment must be odd")?;
+    let msg = "the burst flag must be set exactly when the error model is burst";
+    w.ensure(|| s.burst_bad.is_some() == burst, msg)
+}
+
+fn walk_metrics<W: Walk>(w: &mut W, m: &mut MetricsState, window: Option<u64>) -> Step {
+    w.obj("total", &mut m.total, |w, s| walk_series(w, s, window))?;
+    w.arr("per_op", &mut m.per_op, &(FpOp::Add, SeriesState::default()), |w, k, entry| {
+        w.obj(k, entry, |w, (op, s)| {
+            w.variant("op", op, &OPS)?;
+            w.obj("series", s, |w, s| walk_series(w, s, window))
+        })
     })
 }
 
-fn policy_from_json(v: &JsonValue) -> Result<MatchPolicy, SnapshotError> {
-    let p = "$.config.policy";
-    match want_str(v, p, "kind")? {
-        "exact" => Ok(MatchPolicy::Exact),
-        "threshold" => {
-            let t = f32::from_bits(want_hex32(v, p, "threshold_bits")?);
-            if !t.is_finite() || t < 0.0 {
-                return Err(schema(p, format!("threshold must be finite and non-negative, got {t}")));
-            }
-            Ok(MatchPolicy::Threshold(t))
-        }
-        "mask_bits" => Ok(MatchPolicy::MaskBits(want_u32(v, p, "mask")?)),
-        other => Err(schema(p, format!("unknown policy kind \"{other}\""))),
-    }
+fn walk_series<W: Walk>(w: &mut W, s: &mut SeriesState, window: Option<u64>) -> Step {
+    w.int("initial_width", &mut s.initial_width)?;
+    w.int("width", &mut s.width)?;
+    w.arr("windows", &mut s.windows, &[0.0; METRICS_CHANNELS], |w, k, row| w.f64s(k, row))?;
+    let (initial, width) = (s.initial_width, s.width);
+    let fits = || Some(initial) == window && s.rebuild().is_some();
+    w.ensure(fits, format_args!("widths {initial} and {width} do not fit metrics window {window:?}"))
 }
 
-fn recovery_from_json(v: &JsonValue) -> Result<RecoveryPolicy, SnapshotError> {
-    let p = "$.config.recovery";
-    match want_str(v, p, "kind")? {
-        "flush_replay" => Ok(RecoveryPolicy::FlushReplay {
-            cycles_per_error: want_u32(v, p, "cycles_per_error")?,
-        }),
-        "multiple_issue_replay" => Ok(RecoveryPolicy::MultipleIssueReplay {
-            issues: want_u32(v, p, "issues")?,
-        }),
-        "half_frequency_replay" => Ok(RecoveryPolicy::HalfFrequencyReplay),
-        "decoupling_queue" => Ok(RecoveryPolicy::DecouplingQueue),
-        other => Err(schema(p, format!("unknown recovery kind \"{other}\""))),
-    }
-}
-
-fn error_mode_from_json(v: &JsonValue) -> Result<ErrorMode, SnapshotError> {
-    let p = "$.config.error_mode";
-    match want_str(v, p, "kind")? {
-        "fixed_rate" => Ok(ErrorMode::FixedRate(unit_interval(
-            want_f64(v, p, "rate")?,
-            p,
-            "rate",
-        )?)),
-        "per_stage_rate" => Ok(ErrorMode::PerStageRate(unit_interval(
-            want_f64(v, p, "rate")?,
-            p,
-            "rate",
-        )?)),
-        "from_voltage" => Ok(ErrorMode::FromVoltage),
-        other => Err(schema(p, format!("unknown error-mode kind \"{other}\""))),
-    }
-}
-
-fn error_model_from_json(v: &JsonValue) -> Result<ErrorModelSpec, SnapshotError> {
-    let p = "$.config.error_model";
-    match want_str(v, p, "kind")? {
-        "uniform" => Ok(ErrorModelSpec::Uniform),
-        "heterogeneous" => Ok(ErrorModelSpec::Heterogeneous(HeterogeneousErrors {
-            slow_fraction: unit_interval(want_f64(v, p, "slow_fraction")?, p, "slow_fraction")?,
-            slow_factor: non_negative(want_f64(v, p, "slow_factor")?, p, "slow_factor")?,
-            fast_fraction: unit_interval(want_f64(v, p, "fast_fraction")?, p, "fast_fraction")?,
-            fast_factor: non_negative(want_f64(v, p, "fast_factor")?, p, "fast_factor")?,
-        })),
-        "voltage-coupled" => Ok(ErrorModelSpec::VoltageCoupled {
-            sigma_vdd: non_negative(want_f64(v, p, "sigma_vdd")?, p, "sigma_vdd")?,
-        }),
-        "burst" => Ok(ErrorModelSpec::Burst(BurstErrors {
-            enter: unit_interval(want_f64(v, p, "enter")?, p, "enter")?,
-            exit: unit_interval(want_f64(v, p, "exit")?, p, "exit")?,
-            burst_factor: non_negative(want_f64(v, p, "burst_factor")?, p, "burst_factor")?,
-        })),
-        other => Err(schema(p, format!("unknown error-model kind \"{other}\""))),
-    }
-}
-
-fn voltage_model_from_json(v: &JsonValue) -> Result<VoltageModel, SnapshotError> {
-    let p = "$.config.voltage_model";
-    let nominal = want_f64(v, p, "nominal_vdd")?;
-    let onset = want_f64(v, p, "onset_vdd")?;
-    let base_rate = unit_interval(want_f64(v, p, "base_rate")?, p, "base_rate")?;
-    let alpha = non_negative(want_f64(v, p, "alpha")?, p, "alpha")?;
-    let vth = want_f64(v, p, "vth")?;
-    // Mirror `VoltageModel::new`'s assertions so malformed input becomes
-    // a structured error instead of a panic.
-    if nominal <= 0.0 || onset <= 0.0 {
-        return Err(schema(p, "voltages must be positive"));
-    }
-    if onset > nominal {
-        return Err(schema(p, "error onset must not exceed the nominal voltage"));
-    }
-    if !(0.0..onset).contains(&vth) {
-        return Err(schema(p, format!("vth must lie in [0, onset), got {vth}")));
-    }
-    Ok(VoltageModel::new(nominal, onset, base_rate, alpha, vth))
-}
-
-fn energy_model_from_json(v: &JsonValue) -> Result<EnergyModel, SnapshotError> {
-    let p = "$.config.energy_model";
-    let field = |key| -> Result<f64, SnapshotError> { non_negative(want_f64(v, p, key)?, p, key) };
-    Ok(EnergyModel {
-        epi_add_pj: field("epi_add_pj")?,
-        lut_lookup_frac: field("lut_lookup_frac")?,
-        lut_update_frac: field("lut_update_frac")?,
-        gated_stage_residual: field("gated_stage_residual")?,
-        recovery_cycle_frac: field("recovery_cycle_frac")?,
-        spatial_broadcast_frac: field("spatial_broadcast_frac")?,
-    })
-}
-
-fn gate_policy_from_json(v: &JsonValue) -> Result<GatePolicy, SnapshotError> {
-    let p = "$.config.adaptive_gate";
-    let policy = GatePolicy {
-        window: want_u64(v, p, "window")?,
-        min_hit_rate: unit_interval(want_f64(v, p, "min_hit_rate")?, p, "min_hit_rate")?,
-        gate_period: want_u64(v, p, "gate_period")?,
-        consecutive_windows: want_u32(v, p, "consecutive_windows")?,
-    };
-    // `AdaptiveGate::new` asserts these; reject them structurally.
-    if policy.window == 0 || policy.gate_period == 0 || policy.consecutive_windows == 0 {
-        return Err(schema(p, "window, gate_period and consecutive_windows must be positive"));
-    }
-    Ok(policy)
-}
-
-fn cu_from_json(
-    v: &JsonValue,
-    path: &str,
-    config: &DeviceConfig,
-) -> Result<CuState, SnapshotError> {
-    let ecu = want(v, path, "ecu")?;
-    let epath = format!("{path}.ecu");
-    let injectors_json = want_arr(v, path, "injectors")?;
-    let mut injectors = Vec::with_capacity(injectors_json.len());
-    for (i, inj) in injectors_json.iter().enumerate() {
-        let ipath = format!("{path}.injectors[{i}]");
-        let burst_bad = match want(inj, &ipath, "burst_bad")? {
-            JsonValue::Null => None,
-            b => Some(b.as_bool().ok_or_else(|| {
-                schema(&ipath, "field `burst_bad` must be null or a boolean")
-            })?),
-        };
-        let state = ErrorSamplerState {
-            pcg_state: want_hex64(inj, &ipath, "pcg_state")?,
-            pcg_inc: want_hex64(inj, &ipath, "pcg_inc")?,
-            drawn: want_u64(inj, &ipath, "drawn")?,
-            errors: want_u64(inj, &ipath, "errors")?,
-            burst_bad,
-        };
-        if state.pcg_inc.is_multiple_of(2) {
-            return Err(schema(&ipath, "PCG increment must be odd"));
-        }
-        injectors.push(state);
-    }
-    let tallies_json = want_arr(v, path, "tallies")?;
-    let mut tallies = Vec::with_capacity(tallies_json.len());
-    for (i, t) in tallies_json.iter().enumerate() {
-        let tpath = format!("{path}.tallies[{i}]");
-        let op = parse_op(want_str(t, &tpath, "op")?, &tpath)?;
-        let energy_pj = non_negative(want_f64(t, &tpath, "energy_pj")?, &tpath, "energy_pj")?;
-        tallies.push((
-            op,
-            OpTally {
-                lane_instructions: want_u64(t, &tpath, "lane_instructions")?,
-                vector_instructions: want_u64(t, &tpath, "vector_instructions")?,
-                spatial_hits: want_u64(t, &tpath, "spatial_hits")?,
-                spatial_masked_errors: want_u64(t, &tpath, "spatial_masked_errors")?,
-                energy_pj,
-            },
-        ));
-    }
-    let energy_json = want(v, path, "energy")?;
-    let gpath = format!("{path}.energy");
-    let energy = EnergyBreakdown {
-        fpu_exec_pj: want_f64(energy_json, &gpath, "fpu_exec_pj")?,
-        hit_pj: want_f64(energy_json, &gpath, "hit_pj")?,
-        lut_lookup_pj: want_f64(energy_json, &gpath, "lut_lookup_pj")?,
-        lut_update_pj: want_f64(energy_json, &gpath, "lut_update_pj")?,
-        recovery_pj: want_f64(energy_json, &gpath, "recovery_pj")?,
-    };
-    let metrics = match want(v, path, "metrics")? {
-        JsonValue::Null => None,
-        m => {
-            let mpath = format!("{path}.metrics");
-            let total = series_from_json(want(m, &mpath, "total")?, &format!("{mpath}.total"))?;
-            let per_op_json = want_arr(m, &mpath, "per_op")?;
-            let mut per_op = Vec::with_capacity(per_op_json.len());
-            for (i, entry) in per_op_json.iter().enumerate() {
-                let ppath = format!("{mpath}.per_op[{i}]");
-                let op = parse_op(want_str(entry, &ppath, "op")?, &ppath)?;
-                let series = series_from_json(want(entry, &ppath, "series")?, &ppath)?;
-                per_op.push((op, series));
-            }
-            Some(MetricsState { total, per_op })
-        }
-    };
-    let scs_json = want_arr(v, path, "stream_cores")?;
-    let mut stream_cores = Vec::with_capacity(scs_json.len());
-    for (s, sc) in scs_json.iter().enumerate() {
-        let spath = format!("{path}.stream_cores[{s}]");
-        let units_json = sc
-            .as_arr()
-            .ok_or_else(|| schema(&spath, "stream core must be an array of lane units"))?;
-        let mut units = Vec::with_capacity(units_json.len());
-        for (u, unit) in units_json.iter().enumerate() {
-            units.push(unit_from_json(unit, &format!("{spath}[{u}]"), config)?);
-        }
-        stream_cores.push(units);
-    }
-    Ok(CuState {
-        cycles: want_u64(v, path, "cycles")?,
-        ecu_recoveries: want_u64(ecu, &epath, "recoveries")?,
-        ecu_recovery_cycles: want_u64(ecu, &epath, "recovery_cycles")?,
-        injectors,
-        tallies,
-        energy,
-        metrics,
-        stream_cores,
-    })
-}
-
-fn series_from_json(v: &JsonValue, path: &str) -> Result<SeriesState, SnapshotError> {
-    let windows_json = want_arr(v, path, "windows")?;
-    let mut windows = Vec::with_capacity(windows_json.len());
-    for (i, win) in windows_json.iter().enumerate() {
-        let arr = win.as_arr().ok_or_else(|| {
-            schema(path, format!("windows[{i}] must be an array of {METRICS_CHANNELS} numbers"))
-        })?;
-        if arr.len() != METRICS_CHANNELS {
-            return Err(schema(
-                path,
-                format!("windows[{i}] has {} channels, expected {METRICS_CHANNELS}", arr.len()),
-            ));
-        }
-        let mut channels = [0.0; METRICS_CHANNELS];
-        for (c, x) in arr.iter().enumerate() {
-            channels[c] = x
-                .as_f64()
-                .filter(|v| v.is_finite())
-                .ok_or_else(|| schema(path, format!("windows[{i}][{c}] must be a finite number")))?;
-        }
-        windows.push(channels);
-    }
-    Ok(SeriesState {
-        initial_width: want_u64(v, path, "initial_width")?,
-        width: want_u64(v, path, "width")?,
-        windows,
-    })
-}
-
-fn unit_from_json(
-    v: &JsonValue,
-    path: &str,
-    config: &DeviceConfig,
-) -> Result<UnitState, SnapshotError> {
-    let op = parse_op(want_str(v, path, "op")?, path)?;
-    let mmio = want(v, path, "mmio")?;
-    let mpath = format!("{path}.mmio");
-    let stats_json = want(v, path, "stats")?;
-    let spath = format!("{path}.stats");
-    let stats = MemoStats {
-        lookups: want_u64(stats_json, &spath, "lookups")?,
-        hits: want_u64(stats_json, &spath, "hits")?,
-        misses: want_u64(stats_json, &spath, "misses")?,
-        updates: want_u64(stats_json, &spath, "updates")?,
-        masked_errors: want_u64(stats_json, &spath, "masked_errors")?,
-        recoveries: want_u64(stats_json, &spath, "recoveries")?,
-        errors_seen: want_u64(stats_json, &spath, "errors_seen")?,
-    };
-    let fifo_json = want_arr(v, path, "fifo")?;
-    if fifo_json.len() > config.fifo_depth {
-        return Err(schema(
-            path,
-            format!("{} FIFO entries exceed the configured depth {}", fifo_json.len(), config.fifo_depth),
-        ));
-    }
-    let mut fifo = Vec::with_capacity(fifo_json.len());
-    for (i, entry) in fifo_json.iter().enumerate() {
-        let fpath = format!("{path}.fifo[{i}]");
-        let operands_json = want_arr(entry, &fpath, "operands")?;
-        if operands_json.is_empty() || operands_json.len() > MAX_ARITY {
-            return Err(schema(
-                &fpath,
-                format!("operand count {} out of range 1..={MAX_ARITY}", operands_json.len()),
-            ));
-        }
-        let mut operand_bits = Vec::with_capacity(operands_json.len());
-        for (o, word) in operands_json.iter().enumerate() {
-            let s = word.as_str().ok_or_else(|| {
-                schema(&fpath, format!("operands[{o}] must be a hex string"))
-            })?;
-            let bits = u32::try_from(parse_hex(s, &fpath, "operands")?)
-                .map_err(|_| schema(&fpath, format!("operands[{o}] exceeds 32 bits")))?;
-            operand_bits.push(bits);
-        }
-        fifo.push(EntryState {
-            operand_bits,
-            result_bits: want_hex32(entry, &fpath, "result")?,
-        });
-    }
-    let fpu = want(v, path, "fpu")?;
-    let fpath = format!("{path}.fpu");
-    let gate = match want(v, path, "gate")? {
-        JsonValue::Null => None,
-        g => {
-            let gpath = format!("{path}.gate");
-            Some(GateState {
-                window_accesses: want_u64(g, &gpath, "window_accesses")?,
-                window_hits: want_u64(g, &gpath, "window_hits")?,
-                gated_remaining: want_u64(g, &gpath, "gated_remaining")?,
-                times_gated: want_u64(g, &gpath, "times_gated")?,
-                low_windows: want_u32(g, &gpath, "low_windows")?,
-            })
-        }
-    };
-    Ok(UnitState {
-        op,
-        ctrl: want_u32(mmio, &mpath, "ctrl")?,
-        mask: want_u32(mmio, &mpath, "mask")?,
-        threshold_bits: want_hex32(mmio, &mpath, "threshold_bits")?,
-        update_after_recovery: want_bool(v, path, "update_after_recovery")?,
-        stats,
-        fifo,
-        fpu_counters: FpuCounters {
-            executed: want_u64(fpu, &fpath, "executed")?,
-            squashed: want_u64(fpu, &fpath, "squashed")?,
-        },
-        last_issue: opt_u64(fpu, &fpath, "last_issue")?,
-        issued: want_u64(fpu, &fpath, "issued")?,
-        slip_cycles: want_u64(fpu, &fpath, "slip_cycles")?,
-        gate,
-    })
+fn walk_unit<W: Walk>(w: &mut W, u: &mut UnitState, config: &DeviceConfig) -> Step {
+    w.variant("op", &mut u.op, &OPS)?;
+    w.obj("mmio", u, |w, u| {
+        w.int("ctrl", &mut u.ctrl)?;
+        w.int("mask", &mut u.mask)?;
+        w.hex("threshold_bits", &mut u.threshold_bits)
+    })?;
+    w.bool("update_after_recovery", &mut u.update_after_recovery)?;
+    w.obj("stats", &mut u.stats, |w, s| {
+        w.int("lookups", &mut s.lookups)?;
+        w.int("hits", &mut s.hits)?;
+        w.int("misses", &mut s.misses)?;
+        w.int("updates", &mut s.updates)?;
+        w.int("masked_errors", &mut s.masked_errors)?;
+        w.int("recoveries", &mut s.recoveries)?;
+        w.int("errors_seen", &mut s.errors_seen)?;
+        // Holds after every access of a real module.
+        w.ensure(|| s.is_consistent(), "memo statistics are inconsistent")
+    })?;
+    w.arr("fifo", &mut u.fifo, &EntryState::default(), |w, k, e| {
+        w.obj(k, e, |w, e| {
+            w.arr("operands", &mut e.operand_bits, &0, W::hex)?;
+            w.hex("result", &mut e.result_bits)?;
+            let n = e.operand_bits.len();
+            let msg = format_args!("operand count {n} out of range 1..={MAX_ARITY}");
+            w.ensure(|| (1..=MAX_ARITY).contains(&n), msg)
+        })
+    })?;
+    w.obj("fpu", u, |w, u| {
+        w.int("executed", &mut u.fpu_counters.executed)?;
+        w.int("squashed", &mut u.fpu_counters.squashed)?;
+        w.opt("last_issue", &mut u.last_issue, W::int)?;
+        w.int("issued", &mut u.issued)?;
+        w.int("slip_cycles", &mut u.slip_cycles)
+    })?;
+    w.opt("gate", &mut u.gate, |w, k, g| {
+        w.obj(k, g, |w, g| {
+            w.int("window_accesses", &mut g.window_accesses)?;
+            w.int("window_hits", &mut g.window_hits)?;
+            w.int("gated_remaining", &mut g.gated_remaining)?;
+            w.int("times_gated", &mut g.times_gated)?;
+            w.int("low_windows", &mut g.low_windows)
+        })
+    })?;
+    let (entries, depth) = (u.fifo.len(), config.fifo_depth);
+    let msg = format_args!("{entries} FIFO entries exceed the configured depth {depth}");
+    w.ensure(|| entries <= depth, msg)?;
+    let msg = "adaptive-gate state must be captured exactly when the config gates the memo modules";
+    w.ensure(|| u.gate.is_some() == config.lane_gate().is_some(), msg)
 }
 
 #[cfg(test)]
@@ -1439,6 +1095,10 @@ mod tests {
     use super::*;
     use crate::program::{Addr, Bindings, Src, VInst, VProgram};
     use tm_fpu::FpOp;
+
+    fn hex64(v: u64) -> String {
+        format!("0x{v:x}")
+    }
 
     /// `out[gid] = sqrt(gid * 0.5 + 0.5)`.
     fn run_some(device: &mut Device, n: usize) {
@@ -1692,6 +1352,51 @@ mod tests {
             DeviceSnapshot::from_json(&corners),
             Err(SnapshotError::Config(_))
         ));
+        // Captured state the config cannot hold is a schema error at its
+        // path: `Device::restore` would reject each of these.
+        for (doc, path) in state_edits(&good) {
+            assert_ne!(doc, good);
+            match DeviceSnapshot::from_json(&doc) {
+                Err(SnapshotError::Schema(msg)) => assert!(msg.starts_with(path), "{msg}"),
+                other => panic!("{path}: expected a schema error, got {other:?}"),
+            }
+        }
+        // Config values whose owning types would panic on them are
+        // rejected by the config check.
+        for (from, to) in [
+            ("{\"kind\":\"exact\"}", "{\"kind\":\"threshold\",\"threshold_bits\":\"0xbf800000\"}"),
+            ("{\"kind\":\"exact\"}", "{\"kind\":\"threshold\",\"threshold_bits\":\"0x7fc00000\"}"),
+            (
+                "\"adaptive_gate\":null",
+                "\"adaptive_gate\":{\"window\":0,\"min_hit_rate\":0.05,\"gate_period\":4096,\
+                 \"consecutive_windows\":2}",
+            ),
+            ("\"epi_add_pj\":9.8", "\"epi_add_pj\":-1"),
+        ] {
+            let doc = good.replacen(from, to, 1);
+            assert_ne!(doc, good);
+            assert!(
+                matches!(DeviceSnapshot::from_json(&doc), Err(SnapshotError::Config(_))),
+                "{to}"
+            );
+        }
+    }
+
+    /// Edits of `doc` (a snapshot without metrics) whose state breaks a
+    /// rule, each with the path its error must start with.
+    fn state_edits(doc: &str) -> [(String, &'static str); 3] {
+        let value = doc.find("\"hit_pj\":").unwrap() + "\"hit_pj\":".len();
+        let end = value + doc[value..].find(',').unwrap();
+        let negative_energy = format!("{}-1.5{}", &doc[..value], &doc[end..]);
+        let first = doc.find("\"injectors\":[").unwrap() + "\"injectors\":[".len();
+        let next = first + doc[first..].find("},").unwrap() + "},".len();
+        let missing_injector = format!("{}{}", &doc[..first], &doc[next..]);
+        let metrics = doc.replacen("\"metrics_window\":null", "\"metrics_window\":64", 1);
+        [
+            (negative_energy, "$.compute_units[0].energy.hit_pj: "),
+            (missing_injector, "$.compute_units[0]: "),
+            (metrics, "$.compute_units[0]: "),
+        ]
     }
 
     #[test]

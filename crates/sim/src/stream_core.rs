@@ -18,10 +18,7 @@ impl LaneUnit {
     pub fn new(op: FpOp, config: &DeviceConfig) -> Self {
         let fifo = MemoFifo::with_replacement(config.fifo_depth, config.replacement);
         let mut memo = MemoModule::with_fifo(op, config.policy, fifo);
-        let mut gate = None;
-        if config.arch == ArchMode::Memoized {
-            gate = config.adaptive_gate.map(AdaptiveGate::new);
-        } else {
+        if config.arch != ArchMode::Memoized {
             // Baseline has no memoization hardware; the spatial variant
             // reuses across lanes instead of through per-FPU FIFOs.
             memo.set_enabled(false);
@@ -29,7 +26,7 @@ impl LaneUnit {
         Self {
             fpu: Fpu::new(op),
             memo,
-            gate,
+            gate: config.lane_gate().map(AdaptiveGate::new),
         }
     }
 

@@ -1,13 +1,13 @@
-//! Snapshot documents with one config number replaced by an edge value.
+//! Snapshot documents with one number replaced by an edge value.
 //!
 //! A `restore` request hands a snapshot document straight to
 //! [`DeviceSnapshot::from_json`] and [`Device::restore`], so every
-//! number in its `config` object is untrusted input. Each case takes a
-//! valid snapshot of a device that ran a short launch with injected
-//! errors, replaces one config number by plain text replacement, and
-//! requires that the document is rejected with a typed error or
-//! restores into a device that runs a launch and snapshots again. No
-//! case may panic or abort.
+//! number in it is untrusted input: the `config` object's and the
+//! captured state's alike. Each case takes a valid snapshot of a device
+//! that ran a short launch with injected errors, replaces one number by
+//! plain text replacement, and requires that `from_json` rejects the
+//! document with a typed error, or that it restores into a device that
+//! runs a launch and snapshots again. No case may panic or abort.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,11 +128,41 @@ fn config_numbers(doc: &str) -> Vec<(&str, Range<usize>)> {
     numbers
 }
 
-/// Rejects `doc` with a typed error, or restores it into a device that
-/// runs a launch and snapshots again; panics otherwise.
+/// Each number in `doc` outside strings, array elements included: the
+/// key it belongs to (the last string before it) and the byte range of
+/// its text.
+fn document_numbers(doc: &str) -> Vec<(&str, Range<usize>)> {
+    let bytes = doc.as_bytes();
+    let (mut numbers, mut key, mut string_start) = (Vec::new(), "", None);
+    let mut i = 0;
+    while i < bytes.len() {
+        match (string_start, bytes[i]) {
+            (Some(start), b'"') => {
+                key = &doc[start..i];
+                string_start = None;
+            }
+            (None, b'"') => string_start = Some(i + 1),
+            (None, b'-' | b'0'..=b'9') if matches!(bytes[i - 1], b':' | b'[' | b',') => {
+                let len = doc[i..]
+                    .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                    .unwrap_or(doc.len() - i);
+                numbers.push((key, i..i + len));
+                i += len;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    numbers
+}
+
+/// Returns once `from_json` rejects `doc` with a typed error; otherwise
+/// `doc` must restore into a device that runs a launch and snapshots
+/// again, and anything else panics.
 fn restore_and_run(doc: &str) {
     let Ok(snapshot) = DeviceSnapshot::from_json(doc) else { return };
-    let Ok(mut device) = Device::restore(&snapshot) else { return };
+    let mut device = Device::restore(&snapshot).expect("a document from_json accepts restores");
     short_launch(&mut device);
     device.snapshot().expect("a restored device snapshots again");
 }
@@ -155,5 +185,21 @@ fn config_mutations_are_rejected_or_run() {
         let mutated = format!("{}{edge}{}", &doc[..range.start], &doc[range.end..]);
         let outcome = catch_unwind(AssertUnwindSafe(|| restore_and_run(&mutated)));
         assert!(outcome.is_ok(), "base document {base}: config `{key}` = {edge} panicked");
+    });
+}
+
+#[test]
+fn document_mutations_are_rejected_or_run() {
+    let docs = base_documents();
+    check("document_mutations_are_rejected_or_run", 2048, |rng| {
+        let base = rng.gen_range(0..docs.len());
+        let doc = &docs[base];
+        let numbers = document_numbers(doc);
+        let (key, range) = &numbers[rng.gen_range(0..numbers.len())];
+        let edge = EDGES[rng.gen_range(0..EDGES.len())];
+        let mutated = format!("{}{edge}{}", &doc[..range.start], &doc[range.end..]);
+        let outcome = catch_unwind(AssertUnwindSafe(|| restore_and_run(&mutated)));
+        let at = range.start;
+        assert!(outcome.is_ok(), "base document {base}: `{key}` at byte {at} = {edge} panicked");
     });
 }

@@ -218,7 +218,7 @@ impl ErrorSampler {
     }
 
     /// Restores snapshotted run state onto a freshly built sampler of the
-    /// same model/position (which fixes the [`SamplerKind`] parameters —
+    /// same model/position (which fixes the model's parameters —
     /// those are configuration, not run state).
     ///
     /// # Errors

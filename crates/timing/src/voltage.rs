@@ -70,28 +70,48 @@ impl VoltageModel {
     ///
     /// # Panics
     ///
-    /// Panics if the voltages are non-positive, `onset_vdd > nominal_vdd`,
-    /// or `base_rate` is not a probability.
+    /// Panics if the parameters fail [`VoltageModel::try_new`].
     #[must_use]
     pub fn new(nominal_vdd: f64, onset_vdd: f64, base_rate: f64, alpha: f64, vth: f64) -> Self {
-        assert!(nominal_vdd > 0.0 && onset_vdd > 0.0, "voltages must be positive");
-        assert!(
-            onset_vdd <= nominal_vdd,
-            "error onset cannot lie above nominal"
-        );
-        assert!(
-            (0.0..=1.0).contains(&base_rate),
-            "base rate must be a probability"
-        );
-        assert!(alpha >= 0.0, "alpha must be non-negative");
-        assert!(vth >= 0.0 && vth < onset_vdd, "vth must sit below onset");
-        Self {
+        Self::try_new(nominal_vdd, onset_vdd, base_rate, alpha, vth).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A custom model, checked without panicking.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule the parameters break: the voltages must be
+    /// positive with `onset_vdd <= nominal_vdd`, `base_rate` a
+    /// probability, `alpha` non-negative and `vth` in `[0, onset_vdd)`.
+    pub fn try_new(
+        nominal_vdd: f64,
+        onset_vdd: f64,
+        base_rate: f64,
+        alpha: f64,
+        vth: f64,
+    ) -> Result<Self, &'static str> {
+        if !(nominal_vdd > 0.0 && onset_vdd > 0.0) {
+            return Err("voltages must be positive");
+        }
+        if onset_vdd > nominal_vdd {
+            return Err("error onset cannot lie above nominal");
+        }
+        if !(0.0..=1.0).contains(&base_rate) {
+            return Err("base rate must be a probability");
+        }
+        if alpha.is_nan() || alpha < 0.0 {
+            return Err("alpha must be non-negative");
+        }
+        if !(0.0..onset_vdd).contains(&vth) {
+            return Err("vth must sit below onset");
+        }
+        Ok(Self {
             nominal_vdd,
             onset_vdd,
             base_rate,
             alpha,
             vth,
-        }
+        })
     }
 
     /// Nominal supply voltage.

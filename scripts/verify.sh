@@ -2,8 +2,8 @@
 # Tier-1 verification, fully offline (the workspace is hermetic: no
 # external crates), plus lint gates.
 #
-#   scripts/verify.sh          # build + test + clippy
-#   scripts/verify.sh --quick  # skip clippy
+#   scripts/verify.sh          # build + test + clippy + docs
+#   scripts/verify.sh --quick  # skip clippy and docs
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,6 +173,8 @@ cargo test --release -q --offline -p tm-serve --test serve_e2e
 if [[ "${1:-}" != "--quick" ]]; then
     echo "== cargo clippy -D warnings -D clippy::perf (offline, workspace) =="
     cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::perf
+    echo "== cargo doc -D warnings (offline, workspace) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 fi
 
 echo "verify: OK"
